@@ -17,7 +17,7 @@ import sys
 
 from .boolean import atom_indices
 from .duality import canonical_frame, complex_algebra
-from .errors import BudgetError, Depth2Error, SizeError
+from .errors import BudgetError, Depth2Error, DomainError, SizeError
 from .formulas import axiom, meet_axiom, parse_formula, print_formula
 from .frames import (
     Frame,
@@ -54,7 +54,28 @@ def _budget() -> int | None:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def _parse_valuation(text: str, n_worlds: int) -> dict[str, int]:
+    """World masks from a JSON object mapping names to lists of worlds."""
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise DomainError("valuation must be a JSON object mapping variable "
+                          "names to lists of worlds")
+    valuation = {}
+    for name, worlds in raw.items():
+        # bools are ints in Python; refuse them with floats and strings
+        if not isinstance(worlds, list) or not all(
+            type(w) is int and 0 <= w < n_worlds for w in worlds
+        ):
+            raise DomainError(f"valuation of {name!r} must be a list of worlds "
+                              f"in 0..{n_worlds - 1}, got {worlds!r}")
+        valuation[name] = sum(1 << w for w in set(worlds))
+    return valuation
 
 
 def _load_frame(path: str) -> Frame:
@@ -166,10 +187,7 @@ def _cmd_eval(args) -> int:
     formula = parse_formula(args.formula)
     everything = (1 << frame.n_worlds) - 1
     if args.valuation is not None:
-        raw = json.loads(args.valuation)
-        valuation = {
-            name: sum(1 << w for w in worlds) for name, worlds in raw.items()
-        }
+        valuation = _parse_valuation(args.valuation, frame.n_worlds)
         result = eval_in_model(frame, valuation, formula)
         print(f"worlds: {_worlds(result)}")
         print(f"true everywhere: {result == everything}")

@@ -165,10 +165,29 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Formulas nested deeper than this are refused, so that the parser and
+# the recursive walkers (printer, model evaluation, equality, hashing)
+# stay far below the interpreter's recursion limit.  Both the height of
+# the syntax tree and the number of open groups, unary operators and
+# "->" on the parser's current path are held to it.
+MAX_NESTING = 64
+
+_PREFIX = {"~": Not, "<>": Diamond, "[]": Box}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # unfinished groups, unary operators and "->"
+        self.height = 0  # height of the formula parsed last
+
+    def nest(self, level: int, tok: tuple[str, str, int]) -> int:
+        if level > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nested more than {MAX_NESTING} levels deep", tok[2]
+            )
+        return level
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,47 +213,59 @@ class _Parser:
 
     def iff(self) -> Formula:
         node = self.imp()
+        height = self.height
         while self.peek()[0] == "<->":
-            self.take("<->")
+            tok = self.take("<->")
             node = Iff(node, self.imp())
+            height = self.nest(max(height, self.height) + 1, tok)
+        self.height = height
         return node
 
     def imp(self) -> Formula:
         node = self.disj()
         if self.peek()[0] == "->":
-            self.take("->")
+            tok = self.take("->")
+            height = self.height
+            self.open = self.nest(self.open + 1, tok)
             node = Implies(node, self.imp())  # right associative
+            self.open -= 1
+            self.height = self.nest(max(height, self.height) + 1, tok)
         return node
 
     def disj(self) -> Formula:
         node = self.conj()
+        height = self.height
         while self.peek()[0] == "|":
-            self.take("|")
+            tok = self.take("|")
             node = Or(node, self.conj())
+            height = self.nest(max(height, self.height) + 1, tok)
+        self.height = height
         return node
 
     def conj(self) -> Formula:
         node = self.unary()
+        height = self.height
         while self.peek()[0] == "&":
-            self.take("&")
+            tok = self.take("&")
             node = And(node, self.unary())
+            height = self.nest(max(height, self.height) + 1, tok)
+        self.height = height
         return node
 
     def unary(self) -> Formula:
-        kind, _, col = self.peek()
-        if kind == "~":
-            self.take("~")
-            return Not(self.unary())
-        if kind == "<>":
-            self.take("<>")
-            return Diamond(self.unary())
-        if kind == "[]":
-            self.take("[]")
-            return Box(self.unary())
-        return self.atom()
+        kind = self.peek()[0]
+        if kind not in _PREFIX:
+            return self.atom()
+        tok = self.take(kind)
+        self.open = self.nest(self.open + 1, tok)
+        node = _PREFIX[kind](self.unary())
+        self.open -= 1
+        self.height = self.nest(self.height + 1, tok)
+        return node
 
     def atom(self) -> Formula:
         kind, text, col = self.peek()
+        self.height = 1
         if kind == "var":
             self.take("var")
             return Var(text)
@@ -245,9 +276,11 @@ class _Parser:
             self.take("0")
             return BOTTOM
         if kind == "(":
-            self.take("(")
+            tok = self.take("(")
+            self.open = self.nest(self.open + 1, tok)
             node = self.iff()
             self.take(")")
+            self.open -= 1
             return node
         raise FormulaSyntaxError(
             f"expected a formula, found {text or 'end of input'!r}",

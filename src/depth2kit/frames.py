@@ -73,15 +73,19 @@ def frame_from_dict(data: dict) -> Frame:
 
 def make_frame(n_worlds: int, edges) -> Frame:
     """Build a frame from an explicit edge list."""
-    if not isinstance(n_worlds, int) or n_worlds < 1:
-        raise DomainError(f"world count must be a positive integer, got {n_worlds}")
+    if type(n_worlds) is not int or n_worlds < 1:
+        raise DomainError(f"world count must be a positive integer, got {n_worlds!r}")
     if n_worlds > MAX_WORLDS:
         raise SizeError(f"world count must be at most {MAX_WORLDS}, got {n_worlds}")
     rows = [0] * n_worlds
-    for x, y in edges:
-        if not (0 <= x < n_worlds and 0 <= y < n_worlds):
-            raise DomainError(f"edge ({x}, {y}) outside 0..{n_worlds - 1}")
-        rows[x] |= 1 << y
+    for edge in edges:
+        # bools are ints in Python; refuse them with floats and strings
+        if len(edge) != 2 or not all(type(w) is int and 0 <= w < n_worlds
+                                     for w in edge):
+            raise DomainError(
+                f"edge {list(edge)!r} is not a pair of worlds in 0..{n_worlds - 1}"
+            )
+        rows[edge[0]] |= 1 << edge[1]
     return Frame(n_worlds, tuple(rows))
 
 

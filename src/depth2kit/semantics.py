@@ -1,55 +1,60 @@
 """Evaluation of formulas in Kripke models and in modal algebras.
 
-Model evaluation follows the complex-algebra convention for diamonds:
-a world satisfies <>p when one of its successors satisfies p.  That
-makes frame validity and validity in the frame's complex algebra agree
-by construction.  All validity-style checks are brute force over the
-full valuation/assignment space, guarded by an explicit budget so that
-runaway requests fail loudly instead of silently truncating.
+A world satisfies <>p when a successor satisfies p; an algebra's atoms
+act as worlds whose successor rows transpose its atom table.  Validity
+searches run a compiled formula over chunks of 2**16 valuations at once,
+one int per world whose bit i is its truth under valuation i.  Budget and
+witness (the first failure in lexicographic order of the sorted variable
+names) are those of a search valuation by valuation.  ``eval_in_model``
+walks the formula for one valuation: the reference for the searches.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from functools import lru_cache, reduce
+from operator import and_, or_, xor
 from typing import Iterable, Mapping
 
-from .errors import BindingError, BudgetError
-from .formulas import (
-    And, Bottom, Box, Diamond, Formula, Iff, Implies, Not, Or, Top, Var,
-    variables,
-)
+from .boolean import atom_indices
+from .errors import BindingError, BudgetError, DomainError
+from .formulas import (BOTTOM, And, Bottom, Box, Diamond, Formula, Iff, Implies,
+                       Not, Or, Top, Var)
 from .frames import Frame
 from .operators import ModalAlgebra
 
 DEFAULT_BUDGET = 1 << 24
+_CHUNK_BITS = 16  # a chunk holds 2**16 valuations: 8 KiB per world
 
-Valuation = Mapping[str, int]
-Assignment = Mapping[str, int]
-
-
-def _guard(space: int, var_count: int, budget: int | None) -> None:
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if space ** max(var_count, 1) > limit:
-        raise BudgetError(
-            f"{space}**{var_count} exceeds the evaluation budget {limit}; "
-            "raise the budget explicitly to proceed"
-        )
+# postfix per node kind: child attributes, then opcodes; "1", "^" negates
+_POSTFIX = {
+    Top: ("1",), Bottom: ("1", "1", "^"), Not: ("child", "1", "^"),
+    Diamond: ("child", "<>"), Box: ("child", "1", "^", "<>", "1", "^"),
+    And: ("left", "right", "&"), Or: ("left", "right", "|"),
+    Implies: ("left", "1", "^", "right", "|"), Iff: ("left", "right", "^", "1", "^"),
+}
+_BINARY = {"&": and_, "|": or_, "^": xor}
 
 
-def eval_in_model(frame: Frame, valuation: Valuation, formula: Formula) -> int:
+def _check_values(values: Mapping[str, int], top: int) -> None:
+    for name, mask in values.items():
+        if type(mask) is not int or not 0 <= mask <= top:
+            raise DomainError(f"value {mask!r} of {name!r} is not in 0..{top}")
+
+
+def eval_in_model(frame: Frame, valuation: Mapping[str, int],
+                  formula: Formula) -> int:
     """World-set of the formula in the model, as a bitmask."""
     top = (1 << frame.n_worlds) - 1
+    _check_values(valuation, top)
 
     def go(node: Formula) -> int:
         if isinstance(node, Var):
             try:
-                return valuation[node.name] & top
+                return valuation[node.name]
             except KeyError:
                 raise BindingError(f"variable {node.name!r} has no value") from None
-        if isinstance(node, Top):
-            return top
-        if isinstance(node, Bottom):
-            return 0
+        if isinstance(node, (Top, Bottom)):
+            return top if isinstance(node, Top) else 0
         if isinstance(node, Not):
             return top ^ go(node.child)
         if isinstance(node, And):
@@ -60,134 +65,129 @@ def eval_in_model(frame: Frame, valuation: Valuation, formula: Formula) -> int:
             return (top ^ go(node.left)) | go(node.right)
         if isinstance(node, Iff):
             return top ^ (go(node.left) ^ go(node.right))
-        if isinstance(node, Diamond):
-            worlds = go(node.child)
+        if isinstance(node, (Diamond, Box)):
+            flip = top if isinstance(node, Box) else 0  # []a is ~<>~a
+            worlds = flip ^ go(node.child)
             out = 0
-            for x in range(frame.n_worlds):
-                if frame.rows[x] & worlds:
+            for x, row in enumerate(frame.rows):
+                if row & worlds:
                     out |= 1 << x
-            return out
-        if isinstance(node, Box):
-            worlds = top ^ go(node.child)
-            out = 0
-            for x in range(frame.n_worlds):
-                if frame.rows[x] & worlds:
-                    out |= 1 << x
-            return top ^ out
+            return flip ^ out
         raise TypeError(f"not a formula node: {node!r}")
 
     return go(formula)
 
 
+@lru_cache(maxsize=1024)
+def _compile(formula: Formula) -> tuple[tuple[str, ...], tuple]:
+    """Sorted variable names and postfix program: Var nodes and opcodes."""
+    code, stack = [], [formula]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (Var, str)):
+            code.append(item)
+        elif type(item) in _POSTFIX:
+            stack += [getattr(item, part) if part.isidentifier() else part
+                      for part in reversed(_POSTFIX[type(item)])]
+        else:
+            raise TypeError(f"not a formula node: {item!r}")
+    return tuple(sorted({op.name for op in code if isinstance(op, Var)})), tuple(code)
+
+
+@lru_cache(maxsize=None)  # one entry per chunk width, at most _CHUNK_BITS + 1
+def _index_bits(width: int) -> tuple[int, ...]:
+    """Entry b has bit i set exactly when bit b of i is set, for i < 2**width."""
+    ones = (1 << (1 << width)) - 1
+    return tuple(ones // ((1 << (1 << b)) + 1) << (1 << b) for b in range(width))
+
+
+def _run(code: tuple, env: dict, rows: list, ones: int) -> list[int]:
+    """Per world, the valuations of the chunk under which the program holds."""
+    stack = []
+    for op in code:
+        if isinstance(op, Var):
+            stack.append(env[op.name])
+        elif op == "1":
+            stack.append([ones] * len(rows))
+        elif op == "<>":
+            stack[-1] = [reduce(or_, map(stack[-1].__getitem__, r), 0) for r in rows]
+        else:
+            stack[-2:] = [list(map(_BINARY[op], *stack[-2:]))]
+    return stack.pop()
+
+
+def _refutation(rows: list, premises: tuple, conclusion: Formula, budget):
+    """First valuation (name -> world mask), in lexicographic order, under
+    which every premise holds at every world and the conclusion fails at
+    some; None if there is none.  ``rows[x]`` lists the successors of x."""
+    programs = [_compile(f) for f in (*premises, conclusion)]
+    names = sorted(set().union(*(names for names, _ in programs)))
+    n, k = len(rows), len(names)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if (1 << n) ** max(k, 1) > limit:
+        raise BudgetError(f"{1 << n}**{k} exceeds the evaluation budget {limit}; "
+                          "raise the budget explicitly to proceed")
+    width = min(n * k, _CHUNK_BITS)
+    ones, inner = (1 << (1 << width)) - 1, _index_bits(width)
+    for chunk in range(1 << (n * k - width)):
+        # index bit (k-1-j)*n + w: world w is in names[j]; bits >= width: chunk
+        env = {name: [inner[b] if b < width else ones * (chunk >> b - width & 1)
+                      for b in range((k - 1 - j) * n, (k - j) * n)]
+               for j, name in enumerate(names)}
+        tops = [reduce(and_, _run(code, env, rows, ones)) for _, code in programs]
+        found = reduce(and_, tops[:-1], ones) & ~tops[-1]
+        if found:
+            index = chunk << width | (found & -found).bit_length() - 1
+            return {name: index >> (k - 1 - j) * n & (1 << n) - 1
+                    for j, name in enumerate(names)}
+    return None
+
+
+def _atom_rows(algebra: ModalAlgebra) -> list:
+    """Successors of each atom: atom i sees j exactly when i <= f(atom j)."""
+    f = algebra.op.atom_values
+    return [tuple(j for j, v in enumerate(f) if v >> i & 1) for i in range(len(f))]
+
+
 def frame_validates(frame: Frame, formula: Formula, budget: int | None = None):
-    """Brute-force validity over all valuations.
-
-    Returns (valid, falsifying valuation or None); the witness is the
-    first failure in lexicographic order of the sorted variable names,
-    so results do not depend on any partitioning of the search space.
-    """
-    names = sorted(variables(formula))
-    space = 1 << frame.n_worlds
-    _guard(space, len(names), budget)
-    top = space - 1
-    for masks in iter_product(range(space), repeat=len(names)):
-        valuation = dict(zip(names, masks))
-        if eval_in_model(frame, valuation, formula) != top:
-            return False, valuation
-    return True, None
+    """(valid, falsifying valuation or None) over all valuations; the
+    witness is the first failure in lexicographic order of the sorted
+    variable names, whatever the partitioning of the search space."""
+    witness = _refutation([tuple(atom_indices(r)) for r in frame.rows], (), formula, budget)
+    return witness is None, witness
 
 
-def _term_evaluator(algebra: ModalAlgebra):
-    table = algebra.op.table()
-    top = algebra.base.top
-
-    def go(node: Formula, assignment: Mapping[str, int]) -> int:
-        if isinstance(node, Var):
-            try:
-                return assignment[node.name]
-            except KeyError:
-                raise BindingError(f"variable {node.name!r} has no value") from None
-        if isinstance(node, Top):
-            return top
-        if isinstance(node, Bottom):
-            return 0
-        if isinstance(node, Not):
-            return top ^ go(node.child, assignment)
-        if isinstance(node, And):
-            return go(node.left, assignment) & go(node.right, assignment)
-        if isinstance(node, Or):
-            return go(node.left, assignment) | go(node.right, assignment)
-        if isinstance(node, Implies):
-            return (top ^ go(node.left, assignment)) | go(node.right, assignment)
-        if isinstance(node, Iff):
-            return top ^ (go(node.left, assignment) ^ go(node.right, assignment))
-        if isinstance(node, Diamond):
-            return table[go(node.child, assignment)]
-        if isinstance(node, Box):
-            return top ^ table[top ^ go(node.child, assignment)]
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return go
-
-
-def eval_in_algebra(algebra: ModalAlgebra, assignment: Assignment,
+def eval_in_algebra(algebra: ModalAlgebra, assignment: Mapping[str, int],
                     formula: Formula) -> int:
     """Value of the formula as an algebra term under the assignment."""
-    return _term_evaluator(algebra)(formula, assignment)
+    _check_values(assignment, algebra.base.top)
+    names, code = _compile(formula)
+    try:
+        env = {name: [assignment[name] >> w & 1 for w in range(algebra.n_atoms)]
+               for name in names}
+    except KeyError as exc:
+        raise BindingError(f"variable {exc.args[0]!r} has no value") from None
+    return sum(bit << w for w, bit in enumerate(_run(code, env, _atom_rows(algebra), 1)))
 
 
 def algebra_validates(algebra: ModalAlgebra, formula: Formula,
                       budget: int | None = None):
     """Whether the term equals top under every assignment."""
-    names = sorted(variables(formula))
-    space = algebra.base.size
-    _guard(space, len(names), budget)
-    top = algebra.base.top
-    evaluate = _term_evaluator(algebra)
-    for values in iter_product(range(space), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if evaluate(formula, assignment) != top:
-            return False, assignment
-    return True, None
+    witness = _refutation(_atom_rows(algebra), (), formula, budget)
+    return witness is None, witness
 
 
 def quasiidentity_holds(algebra: ModalAlgebra, premises: Iterable[Formula],
                         conclusion: Formula, budget: int | None = None):
-    """Every assignment making all premises equal top makes the conclusion top.
-
-    Returns (holds, refuting assignment or None).
-    """
-    premises = tuple(premises)
-    names = sorted(set().union(
-        variables(conclusion), *(variables(p) for p in premises)
-    ))
-    space = algebra.base.size
-    _guard(space, len(names), budget)
-    top = algebra.base.top
-    evaluate = _term_evaluator(algebra)
-    for values in iter_product(range(space), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if all(evaluate(p, assignment) == top for p in premises):
-            if evaluate(conclusion, assignment) != top:
-                return False, assignment
-    return True, None
+    """Whether every assignment making all premises equal top makes the
+    conclusion top: (holds, refuting assignment or None)."""
+    witness = _refutation(_atom_rows(algebra), tuple(premises), conclusion, budget)
+    return witness is None, witness
 
 
 def premises_active(algebra: ModalAlgebra, premises: Iterable[Formula],
                     budget: int | None = None):
-    """Whether some assignment makes all premises equal top.
-
-    This is activeness relative to the given finite algebra only, not
-    the logic-level notion quantifying over all substitutions.
-    """
-    premises = tuple(premises)
-    names = sorted(set().union(*(variables(p) for p in premises), frozenset()))
-    space = algebra.base.size
-    _guard(space, len(names), budget)
-    top = algebra.base.top
-    evaluate = _term_evaluator(algebra)
-    for values in iter_product(range(space), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if all(evaluate(p, assignment) == top for p in premises):
-            return True, assignment
-    return False, None
+    """Whether some assignment makes all premises equal top: activeness in
+    this finite algebra, not the logic-level notion over all substitutions."""
+    witness = _refutation(_atom_rows(algebra), tuple(premises), BOTTOM, budget)
+    return witness is not None, witness

@@ -131,3 +131,51 @@ def test_size_error_exit_code(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"worlds": 13, "edges": []}))
     assert main(["frame", "classify", str(path)]) == 3
+
+
+_MALFORMED_FRAMES = {
+    "float_edge": '{"worlds": 2, "edges": [[0.5, 1]]}',
+    "bool_worlds": '{"worlds": true, "edges": [[0, 0]]}',
+    "short_edge": '{"worlds": 2, "edges": [[0]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_FRAMES))
+def test_malformed_frame_file(name, tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_text(_MALFORMED_FRAMES[name])
+    assert main(["frame", "check", str(path), "--condition", "reflexive"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_non_utf8_frame_file(tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_bytes('{"worlds": 1, "edges": [[0, 0]], "name": "\u00e9"}'
+                     .encode("latin-1"))
+    assert main(["frame", "classify", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+
+
+@pytest.mark.parametrize("valuation", [
+    "[1]", '"p"', '{"p": [-1]}', '{"p": [2]}', '{"p": [5]}', '{"p": [true]}',
+    '{"p": [0.0]}', '{"p": 1}', '{"p": "0"}',
+])
+def test_malformed_valuation(valuation, f2_file, capsys):
+    assert main(["eval", "--frame", f2_file, "--formula", "p",
+                 "--valuation", valuation]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_valuation_repeated_world(f2_file, capsys):
+    assert main(["eval", "--frame", f2_file, "--formula", "p",
+                 "--valuation", '{"p": [0, 0]}']) == 0
+    assert "worlds: [0]" in capsys.readouterr().out
+
+
+def test_parse_deep_nesting(capsys):
+    assert main(["parse", "~" * 5000 + "p"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "column" in err[0]

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from depth2kit.errors import FormulaSyntaxError
 from depth2kit.formulas import (
-    And, Bottom, Box, Diamond, Iff, Implies, Not, Or, Top, Var,
+    MAX_NESTING, And, Bottom, Box, Diamond, Iff, Implies, Not, Or, Top, Var,
     axiom, meet_axiom, parse_formula, print_formula, rule_p2, variables,
 )
 
@@ -35,6 +35,31 @@ def test_parse_error_position():
         parse_formula("p q")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("")
+
+
+def test_nesting_cap():
+    depth = MAX_NESTING
+    at_cap = [
+        "~" * (depth - 1) + "p",
+        "(" * depth + "p" + ")" * depth,
+        " & ".join(["p"] * depth),
+        " -> ".join(["p"] * depth),
+    ]
+    for text in at_cap:
+        formula = parse_formula(text)
+        assert parse_formula(print_formula(formula)) == formula
+    # the column is the operator or group that goes one level too deep
+    too_deep = [
+        ("~" * 5000 + "p", depth + 1),
+        ("(" * 5000 + "p" + ")" * 5000, depth + 1),
+        (" & ".join(["p"] * 5000), 4 * depth - 1),
+        ("~" * depth + "p", 1),
+    ]
+    for text, column in too_deep:
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert err.value.position == column
+        assert f"column {column}" in str(err.value)
 
 
 def test_print_basic():

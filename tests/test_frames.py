@@ -69,6 +69,23 @@ def test_frame_dict_round_trip():
     assert frame_from_dict(F2.to_dict()) == F2
 
 
+@pytest.mark.parametrize("data", [
+    {"worlds": True, "edges": [[0, 0]]},
+    {"worlds": 2.0, "edges": []},
+    {"worlds": 2, "edges": [[0.5, 1]]},
+    {"worlds": 2, "edges": [[True, 1]]},
+    {"worlds": 2, "edges": [[0, "1"]]},
+    {"worlds": 2, "edges": [[0]]},
+    {"worlds": 2, "edges": [[0, 1, 1]]},
+    {"worlds": 2, "edges": [[-1, 0]]},
+    {"worlds": 2, "edges": [1]},
+    [2, [[0, 0]]],
+])
+def test_frame_from_dict_refuses_out_of_domain(data):
+    with pytest.raises(DomainError):
+        frame_from_dict(data)
+
+
 def test_conditions_basic():
     identity3 = make_frame(3, [(i, i) for i in range(3)])
     assert frame_condition(identity3, "reflexive")[0]

@@ -1,11 +1,16 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depth2kit.boolean import FiniteBA
 from depth2kit.duality import complex_algebra
-from depth2kit.errors import BindingError, BudgetError
-from depth2kit.formulas import Box, Diamond, Not, axiom, parse_formula, rule_p2
+from depth2kit.errors import BindingError, BudgetError, DomainError
+from depth2kit.formulas import (
+    AXIOM_NAMES, And, Bottom, Box, Diamond, Iff, Implies, Not, Or, Top, Var,
+    axiom, meet_axiom, parse_formula, rule_p2, variables,
+)
 from depth2kit.frames import canonical_form, enumerate_frames, make_frame
 from depth2kit.operators import (
     ModalAlgebra, ModalOperator, identity_operator, unary_discriminator,
@@ -18,6 +23,7 @@ from depth2kit.semantics import (
     premises_active,
     quasiidentity_holds,
 )
+from depth2kit.verify import _MEET_PAIRS
 
 F2 = make_frame(2, [(0, 0), (0, 1), (1, 1)])
 P2_PREMISE = parse_formula("<>x & <>~x")
@@ -151,3 +157,198 @@ def test_budget_guard():
         quasiidentity_holds(algebra, [wide], BOT)
     with pytest.raises(BudgetError):
         premises_active(algebra, [wide])
+
+
+# --- Reference: the searches valuation by valuation that the bit-sliced
+# engine replaced, kept here as the oracle for verdicts and witnesses.
+
+
+def ref_evaluator(algebra):
+    """Algebra value of a term, walking the formula for one assignment."""
+    table, top = algebra.op.table(), algebra.base.top
+
+    def go(node, assignment):
+        if isinstance(node, Var):
+            return assignment[node.name]
+        if isinstance(node, Top):
+            return top
+        if isinstance(node, Bottom):
+            return 0
+        if isinstance(node, Not):
+            return top ^ go(node.child, assignment)
+        if isinstance(node, And):
+            return go(node.left, assignment) & go(node.right, assignment)
+        if isinstance(node, Or):
+            return go(node.left, assignment) | go(node.right, assignment)
+        if isinstance(node, Implies):
+            return (top ^ go(node.left, assignment)) | go(node.right, assignment)
+        if isinstance(node, Iff):
+            return top ^ (go(node.left, assignment) ^ go(node.right, assignment))
+        if isinstance(node, Diamond):
+            return table[go(node.child, assignment)]
+        return top ^ table[top ^ go(node.child, assignment)]
+
+    return go
+
+
+def _assignments(formulas, space):
+    names = sorted(set().union(frozenset(), *(variables(f) for f in formulas)))
+    for values in product(range(space), repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+def ref_frame_validates(frame, formula):
+    top = (1 << frame.n_worlds) - 1
+    for valuation in _assignments([formula], top + 1):
+        if eval_in_model(frame, valuation, formula) != top:
+            return False, valuation
+    return True, None
+
+
+def ref_algebra_validates(algebra, formula):
+    evaluate = ref_evaluator(algebra)
+    for assignment in _assignments([formula], algebra.base.size):
+        if evaluate(formula, assignment) != algebra.base.top:
+            return False, assignment
+    return True, None
+
+
+def ref_quasiidentity_holds(algebra, premises, conclusion):
+    top, evaluate = algebra.base.top, ref_evaluator(algebra)
+    for assignment in _assignments([*premises, conclusion], algebra.base.size):
+        if all(evaluate(p, assignment) == top for p in premises):
+            if evaluate(conclusion, assignment) != top:
+                return False, assignment
+    return True, None
+
+
+def ref_premises_active(algebra, premises):
+    top, evaluate = algebra.base.top, ref_evaluator(algebra)
+    for assignment in _assignments(premises, algebra.base.size):
+        if all(evaluate(p, assignment) == top for p in premises):
+            return True, assignment
+    return False, None
+
+
+CATALOGUE = [axiom(name) for name in AXIOM_NAMES]
+MEETS = [meet_axiom(axiom(a), axiom(b)) for a, b in _MEET_PAIRS]
+
+
+def _all_algebras(max_atoms):
+    for n in range(1, max_atoms + 1):
+        ba = FiniteBA(n)
+        for values in product(range(ba.size), repeat=n):
+            yield ModalAlgebra(ba, ModalOperator(values))
+
+
+def test_frame_validates_matches_reference():
+    for n in range(1, 4):
+        for frame in enumerate_frames(n):
+            for formula in CATALOGUE + MEETS:
+                assert frame_validates(frame, formula) == \
+                    ref_frame_validates(frame, formula), (frame.rows, str(formula))
+
+
+def test_algebra_searches_match_reference():
+    rule = rule_p2()
+    for algebra in _all_algebras(3):
+        table = algebra.op.atom_values
+        assert premises_active(algebra, rule.premises) == \
+            ref_premises_active(algebra, rule.premises), table
+        assert quasiidentity_holds(algebra, rule.premises, rule.conclusion) == \
+            ref_quasiidentity_holds(algebra, rule.premises, rule.conclusion), table
+        for formula, other in zip(CATALOGUE, CATALOGUE[1:] + CATALOGUE[:1]):
+            assert algebra_validates(algebra, formula) == \
+                ref_algebra_validates(algebra, formula), (table, str(formula))
+            assert premises_active(algebra, [formula]) == \
+                ref_premises_active(algebra, [formula]), (table, str(formula))
+            assert quasiidentity_holds(algebra, [formula], other) == \
+                ref_quasiidentity_holds(algebra, [formula], other), \
+                (table, str(formula), str(other))
+
+
+def test_witness_past_the_first_chunk():
+    # 4 worlds and 5 variables: 2**20 valuations, 16 chunks of 2**16.  The
+    # first chunk has a = 0 and is all valid; the first failure is
+    # a = {0}, b = {0}, c = d = e = 0, valuation 2**16 + 2**12
+    frame = make_frame(4, [(0, 1), (1, 2), (2, 3), (3, 3)])
+    formula = parse_formula("a & b -> <>c | d & ~d | e & ~e")
+    witness = {"a": 1, "b": 1, "c": 0, "d": 0, "e": 0}
+    assert frame_validates(frame, formula) == (False, witness)
+    assert ref_frame_validates(frame, formula) == (False, witness)
+    algebra = complex_algebra(frame)
+    assert algebra_validates(algebra, formula) == (False, witness)
+    assert ref_algebra_validates(algebra, formula) == (False, witness)
+    # the premise forces a = {0,1,2,3}: the last chunk
+    assert quasiidentity_holds(algebra, [parse_formula("a")], formula) == \
+        (False, {"a": 15, "b": 1, "c": 0, "d": 0, "e": 0})
+    # []e needs e to hold the successors {1, 2, 3}
+    premise = parse_formula("a & ~b & []e & (c | ~c) & (d | ~d)")
+    assert premises_active(algebra, [premise]) == \
+        (True, {"a": 15, "b": 0, "c": 0, "d": 0, "e": 14})
+
+
+_names = st.sampled_from(["p", "q", "r"])
+_formulas = st.recursive(
+    st.one_of(st.builds(Var, _names), st.just(Top()), st.just(Bottom())),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Diamond, sub), st.builds(Box, sub),
+        st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub), st.builds(Iff, sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _algebras(draw):
+    n = draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return ModalAlgebra(FiniteBA(n), ModalOperator(tuple(values)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_algebras(), _formulas, _formulas, st.data())
+def test_random_formulas_match_reference(algebra, formula, other, data):
+    frame = make_frame(algebra.n_atoms, [
+        (i, j) for j, value in enumerate(algebra.op.atom_values)
+        for i in range(algebra.n_atoms) if value >> i & 1
+    ])  # the canonical frame: its complex algebra is the algebra itself
+    assert frame_validates(frame, formula) == ref_frame_validates(frame, formula)
+    assert algebra_validates(algebra, formula) == \
+        ref_algebra_validates(algebra, formula)
+    assert quasiidentity_holds(algebra, [formula], other) == \
+        ref_quasiidentity_holds(algebra, [formula], other)
+    assert premises_active(algebra, [formula, other]) == \
+        ref_premises_active(algebra, [formula, other])
+    assert premises_active(algebra, []) == ref_premises_active(algebra, []) \
+        == (True, {})
+    assignment = {name: data.draw(st.integers(0, algebra.base.top))
+                  for name in sorted(variables(formula))}
+    assert eval_in_algebra(algebra, assignment, formula) == \
+        ref_evaluator(algebra)(formula, assignment) == \
+        eval_in_model(frame, assignment, formula)
+
+
+def test_closed_formulas_match_reference():
+    ba = FiniteBA(2)
+    algebra = ModalAlgebra(ba, ModalOperator((1, 3)))
+    for text in ("1", "0", "<>1", "[]0 -> 0", "~<>0 & []1"):
+        formula = parse_formula(text)
+        assert algebra_validates(algebra, formula) == \
+            ref_algebra_validates(algebra, formula), text
+        assert premises_active(algebra, [formula]) == \
+            ref_premises_active(algebra, [formula]), text
+
+
+def test_values_out_of_domain_are_refused():
+    ba = FiniteBA(2)
+    algebra = ModalAlgebra(ba, ModalOperator((1, 3)))
+    p = parse_formula("p")
+    for bad in (True, -1, 4, 1.0, "1", None):
+        with pytest.raises(DomainError):
+            eval_in_model(F2, {"p": bad}, p)
+        with pytest.raises(DomainError):
+            eval_in_algebra(algebra, {"p": bad}, p)
+    with pytest.raises(BindingError):
+        eval_in_algebra(algebra, {"q": 1}, parse_formula("p & q"))
