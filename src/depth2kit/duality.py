@@ -11,14 +11,10 @@ the operator's atom table *is* the predecessor table of the relation.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .boolean import FiniteBA, atom_indices
 from .errors import SizeError
-from .frames import MAX_WORLDS, Frame
+from .frames import MAX_WORLDS, Frame, _isomorphism
 from .operators import ModalAlgebra, ModalOperator
-
-MAX_ISO_ATOMS = 7
 
 
 def complex_algebra(frame: Frame) -> ModalAlgebra:
@@ -49,24 +45,11 @@ def algebras_isomorphic(a: ModalAlgebra, b: ModalAlgebra):
     """Search for an atom bijection transporting one operator onto the other.
 
     Returns (found, permutation) where permutation maps atom indices of
-    the first algebra to atom indices of the second.
+    the first algebra to atom indices of the second.  An atom table is
+    the predecessor-row table of the canonical frame, so this is the
+    frame isomorphism search run on the tables.
     """
     if a.n_atoms != b.n_atoms:
         return False, None
-    n = a.n_atoms
-    if n > MAX_ISO_ATOMS:
-        raise SizeError(f"isomorphism search is bounded at {MAX_ISO_ATOMS} atoms")
-    values_a, values_b = a.op.atom_values, b.op.atom_values
-    for perm in permutations(range(n)):
-        if all(
-            _transport(values_a[i], perm) == values_b[perm[i]] for i in range(n)
-        ):
-            return True, perm
-    return False, None
-
-
-def _transport(mask: int, perm) -> int:
-    out = 0
-    for i in atom_indices(mask):
-        out |= 1 << perm[i]
-    return out
+    perm = _isomorphism(a.op.atom_values, b.op.atom_values)
+    return perm is not None, perm

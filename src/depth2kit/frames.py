@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .boolean import atom_indices
 from .errors import DomainError, PreconditionError, SizeError
@@ -426,15 +426,17 @@ def classify_extremal(frame: Frame) -> frozenset[tuple[str, int, int]]:
 # --- Isomorphism and enumeration ---
 
 
+def _relabel(mask: int, perm: tuple[int, ...]) -> int:
+    out = 0
+    for y in atom_indices(mask):
+        out |= 1 << perm[y]
+    return out
+
+
 def _apply_permutation(frame_rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(frame_rows)
-    rows = [0] * n
-    for x in range(n):
-        row = 0
-        mask = frame_rows[x]
-        for y in atom_indices(mask):
-            row |= 1 << perm[y]
-        rows[perm[x]] = row
+    rows = [0] * len(frame_rows)
+    for x, mask in enumerate(frame_rows):
+        rows[perm[x]] = _relabel(mask, perm)
     return tuple(rows)
 
 
@@ -452,59 +454,46 @@ def canonical_form(frame: Frame) -> Frame:
     return Frame(n, best)
 
 
-def _set_partitions(items: tuple[int, ...]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+def _isomorphism(rows_a: tuple[int, ...], rows_b: tuple[int, ...]):
+    """First permutation, in ``permutations`` order, relabeling rows_a as
+    rows_b, or None.  Predecessor rows (atom tables) relabel alike."""
+    n = len(rows_a)
+    if n > MAX_CANONICAL_WORLDS:
+        raise SizeError(
+            f"isomorphism search is bounded at {MAX_CANONICAL_WORLDS} worlds, got {n}"
+        )
+    for perm in permutations(range(n)):
+        if all(_relabel(rows_a[x], perm) == rows_b[perm[x]] for x in range(n)):
+            return perm
+    return None
 
 
 @lru_cache(maxsize=None)
-def _labeled_posets(k: int) -> tuple[tuple[int, ...], ...]:
-    """All partial orders on k labeled points, as up-set bit-rows."""
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    out = []
-    for choice in product((0, 1, 2), repeat=len(pairs)):
-        rows = [1 << i for i in range(k)]
-        for (i, j), c in zip(pairs, choice):
-            if c == 1:
-                rows[i] |= 1 << j
-            elif c == 2:
-                rows[j] |= 1 << i
-        if all(
-            not rows[y] & ~rows[x]
-            for x in range(k)
-            for y in atom_indices(rows[x])
-        ):
-            out.append(tuple(rows))
-    return tuple(out)
+def _quasiorders_up_to_iso(n: int) -> tuple[Frame, ...]:
+    """Canonical forms of the quasiorders on n worlds, ascending by rows.
 
-
-def _quasiorders_up_to_iso(n: int) -> list[Frame]:
-    seen = set()
-    out = []
-    for part in _set_partitions(tuple(range(n))):
-        blocks = [sum(1 << w for w in b) for b in part]
-        k = len(blocks)
-        block_of = {}
-        for idx, b in enumerate(part):
-            for w in b:
-                block_of[w] = idx
-        for poset_rows in _labeled_posets(k):
-            rows = tuple(
-                sum(blocks[j] for j in atom_indices(poset_rows[block_of[x]]))
-                for x in range(n)
-            )
-            canon = canonical_form(Frame(n, rows)).rows
-            if canon not in seen:
-                seen.add(canon)
-                out.append(Frame(n, canon))
-    out.sort(key=lambda f: f.rows)
-    return out
+    Removing a world of a maximal cluster leaves a quasiorder on n - 1
+    worlds, so each class is a smaller one plus a new world: a twin of
+    an old world x, or a new top seen by exactly a down-closed set.
+    """
+    if n == 1:
+        return (Frame(1, (1,)),)
+    new = 1 << (n - 1)
+    forms = set()
+    for smaller in _quasiorders_up_to_iso(n - 1):
+        rows = smaller.rows
+        candidates = [
+            tuple(r | new if r >> x & 1 else r for r in rows) + (rows[x] | new,)
+            for x in range(n - 1)
+        ]
+        for seers in range(new):
+            if not any(rows[z] & seers for z in range(n - 1) if not seers >> z & 1):
+                candidates.append(
+                    tuple(r | new if seers >> z & 1 else r for z, r in enumerate(rows))
+                    + (new,)
+                )
+        forms.update(canonical_form(Frame(n, c)).rows for c in candidates)
+    return tuple(Frame(n, rows) for rows in sorted(forms))
 
 
 def _all_frames_up_to_iso(n: int) -> list[Frame]:
@@ -551,10 +540,8 @@ def enumerate_frames(n_worlds: int, *, quasiorder: bool = False,
             raise SizeError(
                 f"quasiorder enumeration is bounded at {MAX_ENUM_QUASIORDER} worlds"
             )
-        frames = _quasiorders_up_to_iso(n_worlds)
-        if max_depth is not None:
-            frames = [f for f in frames if cluster_poset(f).depth <= max_depth]
-        return frames
+        return [f for f in _quasiorders_up_to_iso(n_worlds)
+                if max_depth is None or cluster_poset(f).depth <= max_depth]
     if n_worlds > MAX_ENUM_GENERAL:
         raise SizeError(
             f"general frame enumeration is bounded at {MAX_ENUM_GENERAL} worlds"

@@ -114,12 +114,6 @@ class ModalAlgebra:
     def n_atoms(self) -> int:
         return self.base.n_atoms
 
-    def f(self, x: int) -> int:
-        return self.op(self.base.check(x))
-
-    def f_dual(self, x: int) -> int:
-        return self.op.dual_value(self.base.check(x))
-
     def closed_elements(self) -> frozenset[int]:
         return frozenset(x for x in self.base.elements() if self.op(x) == x)
 
@@ -138,7 +132,14 @@ def algebra_from_dict(data: dict) -> ModalAlgebra:
         values = tuple(data["f_on_atoms"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"bad algebra object: {exc}") from exc
-    return ModalAlgebra(FiniteBA(n), operator_from_atom_values(FiniteBA(n), values))
+    # bools are ints in Python; refuse them with floats and strings
+    bad = [x for x in (n, *values) if type(x) is not int]
+    if bad:
+        raise DomainError(f"atoms and f_on_atoms must be integers, got {bad[0]!r}")
+    if n < 1:
+        raise DomainError(f"atom count must be positive, got {n}")
+    ba = FiniteBA(n)
+    return ModalAlgebra(ba, operator_from_atom_values(ba, values))
 
 
 def operator_from_atom_values(ba: FiniteBA, values) -> ModalOperator:
@@ -492,9 +493,18 @@ def subalgebras(algebra: ModalAlgebra) -> list[Subalgebra]:
     return out
 
 
-def _sorted_partitions(n: int) -> list[list[list[int]]]:
-    from .frames import _set_partitions
+def _set_partitions(items: tuple[int, ...]):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
 
+
+def _sorted_partitions(n: int) -> list[list[list[int]]]:
     parts = [sorted(sorted(b) for b in p) for p in _set_partitions(tuple(range(n)))]
     parts.sort(key=lambda p: (len(p), p))
     return parts

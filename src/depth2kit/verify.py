@@ -17,6 +17,7 @@ from typing import Callable, Iterator
 
 from .boolean import FiniteBA
 from .duality import algebras_isomorphic, canonical_frame, complex_algebra
+from .errors import DomainError
 from .formulas import axiom, meet_axiom, rule_p2
 from .frames import (
     Frame,
@@ -539,7 +540,10 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, **params: int) -> VerificationReport:
-    """Run one named suite; unknown parameter keys are rejected."""
+    """Run one named suite; unknown parameter keys are rejected.
+
+    Bounds below 1 and a run that checks nothing raise DomainError.
+    """
     if name not in SUITES:
         raise KeyError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
@@ -551,6 +555,9 @@ def run_suite(name: str, **params: int) -> VerificationReport:
             continue
         if key not in merged:
             raise KeyError(f"suite {name!r} takes no parameter {key!r}")
+        if type(value) is not int or value < 1:  # bools are ints; refuse them
+            raise DomainError(f"suite {name!r} bound {key}={value!r} "
+                              "must be an integer >= 1")
         merged[key] = value
     started = time.perf_counter()
     checked = 0
@@ -559,6 +566,8 @@ def run_suite(name: str, **params: int) -> VerificationReport:
         checked += 1
         if not ok:
             failures.append((instance, expected, got))
+    if not checked:
+        raise DomainError(f"suite {name!r} checks nothing at {merged}")
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(name, merged, checked, failures, elapsed_ms)
 

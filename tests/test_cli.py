@@ -149,6 +149,30 @@ def test_malformed_frame_file(name, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+_MALFORMED_ALGEBRAS = {
+    "float_value": '{"atoms": 2, "f_on_atoms": [1.0, 3]}',
+    "float_atoms": '{"atoms": 2.0, "f_on_atoms": [1, 3]}',
+    "bool_value": '{"atoms": 2, "f_on_atoms": [true, 3]}',
+    "bool_atoms": '{"atoms": true, "f_on_atoms": [1]}',
+    "value_above_top": '{"atoms": 2, "f_on_atoms": [1, 4]}',
+    "negative_value": '{"atoms": 2, "f_on_atoms": [-1, 3]}',
+    "zero_atoms": '{"atoms": 0, "f_on_atoms": []}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_ALGEBRAS))
+@pytest.mark.parametrize("command", [["alg", "classify"], ["dual", "ult"]],
+                         ids=["alg_classify", "dual_ult"])
+def test_malformed_algebra_file(command, name, tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(_MALFORMED_ALGEBRAS[name])
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
 def test_non_utf8_frame_file(tmp_path, capsys):
     path = tmp_path / "frame.json"
     path.write_bytes('{"worlds": 1, "edges": [[0, 0]], "name": "\u00e9"}'

@@ -1,3 +1,4 @@
+from itertools import permutations
 from itertools import product as iter_product
 
 import pytest
@@ -69,6 +70,59 @@ def test_algebras_isomorphic():
             ModalAlgebra(big, identity_operator(big)),
             ModalAlgebra(big, identity_operator(big)),
         )
+
+
+# Reference for algebras_isomorphic: the earlier atom-permutation loop,
+# trying permutations in itertools order and stopping at the first fit.
+
+
+def ref_transport(mask, perm):
+    out = 0
+    for i in range(len(perm)):
+        if mask >> i & 1:
+            out |= 1 << perm[i]
+    return out
+
+
+def ref_algebras_isomorphic(a, b):
+    if a.n_atoms != b.n_atoms:
+        return False, None
+    n = a.n_atoms
+    values_a, values_b = a.op.atom_values, b.op.atom_values
+    for perm in permutations(range(n)):
+        if all(
+            ref_transport(values_a[i], perm) == values_b[perm[i]] for i in range(n)
+        ):
+            return True, perm
+    return False, None
+
+
+def _all_algebras(n):
+    ba = FiniteBA(n)
+    return [ModalAlgebra(ba, ModalOperator(values))
+            for values in iter_product(range(ba.size), repeat=n)]
+
+
+def _relabeled(algebra, perm):
+    values = [0] * algebra.n_atoms
+    for i, value in enumerate(algebra.op.atom_values):
+        values[perm[i]] = ref_transport(value, perm)
+    return ModalAlgebra(algebra.base, ModalOperator(tuple(values)))
+
+
+def test_algebras_isomorphic_matches_reference():
+    pairs = [(a, b) for a in _all_algebras(2) for b in _all_algebras(2)]
+    three = _all_algebras(3)
+    pairs += [(a, _relabeled(a, perm))
+              for a in three for perm in permutations(range(3))]
+    pairs += list(zip(three, three[1:]))
+    found = 0
+    for a, b in pairs:
+        verdict = algebras_isomorphic(a, b)
+        assert verdict == ref_algebras_isomorphic(a, b), (a, b)
+        found += verdict[0]
+    # both verdicts occur
+    assert len(three) * 6 < found < len(pairs)
 
 
 def test_round_trip_algebras():

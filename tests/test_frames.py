@@ -15,6 +15,7 @@ from depth2kit.frames import (
     make_extremal,
     make_frame,
 )
+from depth2kit.operators import _set_partitions
 
 F2 = make_frame(2, [(0, 0), (0, 1), (1, 1)])
 
@@ -53,6 +54,47 @@ def edge_canon(frame):
         tuple(sorted((p[x], p[y]) for (x, y) in frame.edges()))
         for p in permutations(range(frame.n_worlds))
     )
+
+
+# Reference for the quasiorder generator: the earlier enumerator, which
+# pairs every set partition of the worlds (the clusters) with every
+# labeled partial order on its blocks and keeps the distinct canonical
+# forms, sorted by rows.
+
+
+def ref_labeled_posets(k):
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    out = []
+    for choice in product((0, 1, 2), repeat=len(pairs)):
+        rows = [1 << i for i in range(k)]
+        for (i, j), c in zip(pairs, choice):
+            if c == 1:
+                rows[i] |= 1 << j
+            elif c == 2:
+                rows[j] |= 1 << i
+        if all(
+            not rows[y] & ~rows[x]
+            for x in range(k)
+            for y in range(k)
+            if rows[x] >> y & 1
+        ):
+            out.append(tuple(rows))
+    return out
+
+
+def ref_quasiorders_up_to_iso(n):
+    seen = set()
+    for part in _set_partitions(tuple(range(n))):
+        blocks = [sum(1 << w for w in b) for b in part]
+        block_of = {w: idx for idx, b in enumerate(part) for w in b}
+        for poset_rows in ref_labeled_posets(len(blocks)):
+            rows = tuple(
+                sum(blocks[j] for j in range(len(blocks))
+                    if poset_rows[block_of[x]] >> j & 1)
+                for x in range(n)
+            )
+            seen.add(canonical_form(Frame(n, rows)).rows)
+    return [Frame(n, rows) for rows in sorted(seen)]
 
 
 def test_make_frame():
@@ -246,6 +288,20 @@ def test_enumeration_counts():
         1, 3, 9, 33, 139]
     assert len(enumerate_frames(3, quasiorder=True, max_depth=2)) == 8
     assert [len(enumerate_frames(n)) for n in range(1, 4)] == [2, 10, 104]
+
+
+def test_enumeration_matches_reference():
+    # same classes, same representatives, same order
+    for n in range(1, 6):
+        assert enumerate_frames(n, quasiorder=True) == ref_quasiorders_up_to_iso(n)
+
+
+def test_enumeration_returns_a_fresh_list():
+    for kwargs in ({}, {"max_depth": 2}):
+        first = enumerate_frames(4, quasiorder=True, **kwargs)
+        expected = list(first)
+        first.clear()
+        assert enumerate_frames(4, quasiorder=True, **kwargs) == expected
 
 
 def test_enumeration_no_duplicates():

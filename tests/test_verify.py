@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from depth2kit.cli import main
+from depth2kit.errors import DomainError
 from depth2kit.verify import SUITE_NAMES, SUITES, run_all, run_suite
 
 # small bounds keep this module quick; the acceptance tests run the
@@ -57,3 +59,33 @@ def test_run_all_covers_every_suite():
 def test_suite_laws_are_documented():
     for suite in SUITES.values():
         assert suite.law and suite.defaults
+
+
+@pytest.mark.parametrize("name, params", [
+    ("conjugacy", {"worlds": 0, "atoms": 0}),
+    ("table1", {"worlds": -2}),
+    ("table1", {"worlds": True}),
+    ("table1", {"worlds": 2.0}),
+    ("meets", {"atoms": "2"}),
+])
+def test_bounds_must_be_positive_integers(name, params):
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        run_suite(name, **params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("kn_embedding", {"atoms": 1}),
+    ("sum_and_union", {"atoms": 1}),
+])
+def test_run_that_checks_nothing_is_refused(name, params):
+    with pytest.raises(DomainError, match="checks nothing"):
+        run_suite(name, **params)
+
+
+def test_verify_cli_refuses_vacuous_bounds(capsys):
+    assert main(["verify", "--suite", "conjugacy", "--worlds", "0",
+                 "--atoms", "0"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
