@@ -10,8 +10,9 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainError, SizeError
 
@@ -19,12 +20,15 @@ from .errors import DomainError, SizeError
 MAX_ATOMS = 20
 
 
-def atom_indices(mask: int) -> Iterator[int]:
-    """Yield the indices of the atoms below ``mask``, lowest first."""
+@lru_cache(maxsize=4096)  # every mask of up to 12 atoms
+def atom_indices(mask: int) -> tuple[int, ...]:
+    """The indices of the atoms below ``mask``, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)

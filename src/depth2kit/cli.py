@@ -4,8 +4,9 @@ Subcommands: parse, frame check, frame classify, alg classify, dual cm,
 dual ult, enum, eval, verify, meet-axiom.  Results go to stdout and
 diagnostics to stderr.  Exit codes: 0 success, 1 a requested property
 check came out false, 2 usage or parse errors, 3 size or budget
-violations.  The environment variable D2_BUDGET overrides the
-brute-force evaluation budget.
+violations, 4 an internal error (a defect, never a verdict).  The
+environment variable D2_BUDGET overrides the brute-force evaluation
+budget.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
+EXIT_INTERNAL = 4
 
 
 def _budget() -> int | None:
@@ -311,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash must not read as a false check
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

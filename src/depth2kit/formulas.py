@@ -27,64 +27,82 @@ from .errors import FormulaSyntaxError
 
 
 class Formula:
-    """Base class for formula AST nodes."""
+    """Base class for formula AST nodes.  A node keeps its structural hash
+    once computed; pickles and copies leave it out, as string hashes
+    differ from process to process."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __hash__(self) -> int:
+        state = self.__dict__
+        if "_hash" not in state:
+            object.__setattr__(self, "_hash", hash((type(self), *state.values())))
+        return state["_hash"]
 
-@dataclass(frozen=True)
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
+def _node(cls):
+    """A frozen dataclass node that keeps the cached ``Formula.__hash__``."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     child: Formula
 

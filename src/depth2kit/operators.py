@@ -393,11 +393,11 @@ def conjugate_check(algebra: ModalAlgebra, other: ModalOperator):
     """
     if other.n_atoms != algebra.n_atoms:
         raise DomainError("operators live over different algebras")
-    f = algebra.op
-    for x in algebra.base.atoms():
-        for y in algebra.base.atoms():
-            if (f(x) & y == 0) != (other(y) & x == 0):
-                return False, (x, y)
+    f, g = algebra.op.atom_values, other.atom_values
+    for i in range(len(f)):  # atom i against atom j: f(i) meets j, g(j) meets i
+        for j in range(len(f)):
+            if f[i] >> j & 1 != g[j] >> i & 1:
+                return False, (1 << i, 1 << j)
     return True, None
 
 

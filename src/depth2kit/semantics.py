@@ -6,7 +6,8 @@ searches run a compiled formula over chunks of 2**16 valuations at once,
 one int per world whose bit i is its truth under valuation i.  Budget and
 witness (the first failure in lexicographic order of the sorted variable
 names) are those of a search valuation by valuation.  ``eval_in_model``
-walks the formula for one valuation: the reference for the searches.
+evaluates one valuation by Kripke semantics, through closures built once
+per formula: the reference for the searches.
 """
 
 from __future__ import annotations
@@ -46,36 +47,59 @@ def eval_in_model(frame: Frame, valuation: Mapping[str, int],
     """World-set of the formula in the model, as a bitmask."""
     top = (1 << frame.n_worlds) - 1
     _check_values(valuation, top)
+    return _walker(formula)(valuation, frame.rows, top)
 
-    def go(node: Formula) -> int:
-        if isinstance(node, Var):
+
+def _build(node):
+    """The formula as nested closures (valuation, rows, top) -> world mask:
+    Kripke semantics for one valuation.  A node that is not a formula
+    fails with TypeError only when it is reached, so errors come in the
+    order of a recursive walk."""
+    kind = type(node)
+    if kind is Var:
+        name = node.name
+
+        def var(valuation, rows, top):
             try:
-                return valuation[node.name]
+                return valuation[name]
             except KeyError:
-                raise BindingError(f"variable {node.name!r} has no value") from None
-        if isinstance(node, (Top, Bottom)):
-            return top if isinstance(node, Top) else 0
-        if isinstance(node, Not):
-            return top ^ go(node.child)
-        if isinstance(node, And):
-            return go(node.left) & go(node.right)
-        if isinstance(node, Or):
-            return go(node.left) | go(node.right)
-        if isinstance(node, Implies):
-            return (top ^ go(node.left)) | go(node.right)
-        if isinstance(node, Iff):
-            return top ^ (go(node.left) ^ go(node.right))
-        if isinstance(node, (Diamond, Box)):
-            flip = top if isinstance(node, Box) else 0  # []a is ~<>~a
-            worlds = flip ^ go(node.child)
-            out = 0
-            for x, row in enumerate(frame.rows):
-                if row & worlds:
-                    out |= 1 << x
-            return flip ^ out
-        raise TypeError(f"not a formula node: {node!r}")
+                raise BindingError(f"variable {name!r} has no value") from None
+        return var
+    if kind in (Top, Bottom):
+        value = kind is Top
+        return lambda v, rows, top: top if value else 0
+    if kind in (Not, Diamond, Box):
+        child = _build(node.child)
+        if kind is Not:
+            return lambda v, rows, top: top ^ child(v, rows, top)
+        box = kind is Box
 
-    return go(formula)
+        def modal(valuation, rows, top):
+            flip = top if box else 0  # []a is ~<>~a
+            worlds = flip ^ child(valuation, rows, top)
+            out, bit = 0, 1
+            for row in rows:  # bit is 1 << x for world x
+                if row & worlds:
+                    out |= bit
+                bit <<= 1
+            return flip ^ out
+        return modal
+    if kind in (And, Or, Implies, Iff):
+        a, b = _build(node.left), _build(node.right)
+        if kind is And:
+            return lambda v, rows, top: a(v, rows, top) & b(v, rows, top)
+        if kind is Or:
+            return lambda v, rows, top: a(v, rows, top) | b(v, rows, top)
+        if kind is Implies:
+            return lambda v, rows, top: (top ^ a(v, rows, top)) | b(v, rows, top)
+        return lambda v, rows, top: top ^ (a(v, rows, top) ^ b(v, rows, top))
+
+    def fail(valuation, rows, top):
+        raise TypeError(f"not a formula node: {node!r}")
+    return fail
+
+
+_walker = lru_cache(maxsize=1024)(_build)  # built once per formula
 
 
 @lru_cache(maxsize=1024)
@@ -145,8 +169,11 @@ def _refutation(rows: list, premises: tuple, conclusion: Formula, budget):
 
 def _atom_rows(algebra: ModalAlgebra) -> list:
     """Successors of each atom: atom i sees j exactly when i <= f(atom j)."""
-    f = algebra.op.atom_values
-    return [tuple(j for j, v in enumerate(f) if v >> i & 1) for i in range(len(f))]
+    rows = [0] * algebra.n_atoms
+    for j, value in enumerate(algebra.op.atom_values):
+        for i in atom_indices(value):
+            rows[i] |= 1 << j
+    return [atom_indices(row) for row in rows]
 
 
 def frame_validates(frame: Frame, formula: Formula, budget: int | None = None):

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Callable, Iterator
 
-from .boolean import FiniteBA
+from .boolean import MAX_ATOMS, FiniteBA
 from .duality import algebras_isomorphic, canonical_frame, complex_algebra
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .formulas import axiom, meet_axiom, rule_p2
 from .frames import (
+    MAX_WORLDS,
     Frame,
     canonical_form,
     cluster_poset,
@@ -437,12 +438,27 @@ def _suite_p2_quasiidentity(p) -> Iterator[Check]:
         )
 
 
+# a suite that would sweep more atom tables or relations than this is
+# refused before it starts: at tens of microseconds each, about a minute
+MAX_SUITE_INSTANCES = 1 << 20
+
+
+def _tables(p) -> int:  # beyond MAX_ATOMS the count is far past the cap anyway
+    return sum((1 << n) ** n for n in range(1, min(p["atoms"], MAX_ATOMS) + 1))
+
+
+def _relations(p) -> int:
+    return sum(1 << n * n for n in range(1, min(p["worlds"], MAX_WORLDS) + 1))
+
+
 @dataclass(frozen=True)
 class Suite:
     name: str
     law: str
     defaults: dict[str, int] = field(hash=False)
     generate: Callable[[dict], Iterator[Check]] = field(hash=False)
+    minimum: dict[str, int] = field(default_factory=dict, hash=False)
+    cost: Callable[[dict], int] | None = field(default=None, hash=False)
 
 
 SUITES: dict[str, Suite] = {
@@ -454,6 +470,7 @@ SUITES: dict[str, Suite] = {
             "and canonical frame of the complex algebra reproduces the frame",
             {"atoms": 3, "worlds": 4},
             _suite_duality_roundtrip,
+            cost=_tables,
         ),
         Suite(
             "table1",
@@ -496,6 +513,7 @@ SUITES: dict[str, Suite] = {
             "their canonical relations union to its relation",
             {"atoms": 4},
             _suite_sum_and_union,
+            minimum={"atoms": 2},
         ),
         Suite(
             "conjugacy",
@@ -503,6 +521,7 @@ SUITES: dict[str, Suite] = {
             "iu at a is conjugate to ui at the complement of a",
             {"worlds": 4, "atoms": 4},
             _suite_conjugacy,
+            cost=_relations,
         ),
         Suite(
             "meets",
@@ -524,6 +543,7 @@ SUITES: dict[str, Suite] = {
             "algebras (k4); k2 embeds into every nontrivial uu algebra",
             {"atoms": 4},
             _suite_kn_embedding,
+            minimum={"atoms": 2},
         ),
         Suite(
             "p2_quasiidentity",
@@ -532,6 +552,7 @@ SUITES: dict[str, Suite] = {
             "activeness matches a model-checking oracle",
             {"atoms": 3},
             _suite_p2_quasiidentity,
+            cost=_tables,
         ),
     )
 }
@@ -539,11 +560,11 @@ SUITES: dict[str, Suite] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, **params: int) -> VerificationReport:
-    """Run one named suite; unknown parameter keys are rejected.
-
-    Bounds below 1 and a run that checks nothing raise DomainError.
-    """
+def _bounds(name: str, params: dict) -> dict[str, int]:
+    """The suite's defaults overridden by ``params``, refused before any
+    work: unknown names (KeyError), bounds that are not integers >= 1 or
+    below the suite's ``minimum`` (DomainError), and bounds whose ``cost``
+    in instances is over MAX_SUITE_INSTANCES (BudgetError)."""
     if name not in SUITES:
         raise KeyError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
@@ -559,10 +580,24 @@ def run_suite(name: str, **params: int) -> VerificationReport:
             raise DomainError(f"suite {name!r} bound {key}={value!r} "
                               "must be an integer >= 1")
         merged[key] = value
+    for key, least in suite.minimum.items():
+        if merged[key] < least:
+            raise DomainError(f"suite {name!r} checks nothing at {key}="
+                              f"{merged[key]}; it needs {key} >= {least}")
+    if suite.cost is not None and suite.cost(merged) > MAX_SUITE_INSTANCES:
+        raise BudgetError(f"suite {name!r} at {merged} would sweep more than "
+                          f"{MAX_SUITE_INSTANCES} instances; lower its bounds")
+    return merged
+
+
+def run_suite(name: str, **params: int) -> VerificationReport:
+    """Run one named suite; its bounds are checked by ``_bounds`` before
+    any work, and a run that checks nothing raises DomainError."""
+    merged = _bounds(name, params)
     started = time.perf_counter()
     checked = 0
     failures = []
-    for instance, expected, got, ok in suite.generate(merged):
+    for instance, expected, got, ok in SUITES[name].generate(merged):
         checked += 1
         if not ok:
             failures.append((instance, expected, got))
@@ -573,9 +608,12 @@ def run_suite(name: str, **params: int) -> VerificationReport:
 
 
 def run_all(**params: int) -> list[VerificationReport]:
-    """Run every suite, passing each only the parameters it understands."""
-    reports = []
-    for name, suite in SUITES.items():
-        applicable = {k: v for k, v in params.items() if k in suite.defaults}
-        reports.append(run_suite(name, **applicable))
-    return reports
+    """Run every suite, passing each only the parameters it understands;
+    every suite's bounds are checked before the first suite starts."""
+    applicable = {
+        name: {k: v for k, v in params.items() if k in suite.defaults}
+        for name, suite in SUITES.items()
+    }
+    for name, bounds in applicable.items():
+        _bounds(name, bounds)
+    return [run_suite(name, **bounds) for name, bounds in applicable.items()]

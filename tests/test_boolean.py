@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from depth2kit.boolean import FiniteBA, powerset_algebra, subset_class
+from depth2kit.boolean import FiniteBA, atom_indices, powerset_algebra, subset_class
 from depth2kit.errors import DomainError, SizeError
 
 
@@ -97,3 +99,16 @@ def test_every_ideal_is_principal():
                 generator |= x
             assert generator in subset
             assert subset == ba.downset(generator)
+
+
+def test_atom_indices_matches_definition():
+    def definition(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    rng = random.Random(20)
+    masks = [*range(1 << 12), *(rng.getrandbits(20) for _ in range(200)),
+             (1 << 20) - 1, 1 << 19]
+    for mask in masks:
+        assert atom_indices(mask) == definition(mask), mask
+    # a cached answer is the same answer the second time
+    assert atom_indices(0b1011) == (0, 1, 3) == atom_indices(0b1011)

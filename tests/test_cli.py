@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from depth2kit import cli
 from depth2kit.cli import main
 
 
@@ -203,3 +209,105 @@ def test_parse_deep_nesting(capsys):
     assert main(["parse", "~" * 5000 + "p"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "column" in err[0]
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "_cmd_parse", broken)
+    assert main(["parse", "p"]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: ZeroDivisionError: division by zero\n"
+    assert captured.out == ""
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+_ints = st.one_of(st.integers(-2, 5), st.sampled_from([13, 2 ** 70]))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, st.floats(), st.text(max_size=4)),
+    lambda sub: st.one_of(st.lists(sub, max_size=4),
+                          st.dictionaries(st.text(max_size=4), sub, max_size=3)),
+    max_leaves=10,
+)
+_pairs = st.lists(st.lists(_ints, max_size=3), max_size=6)
+_frame_objects = st.one_of(
+    _json,
+    st.fixed_dictionaries({"worlds": st.one_of(_ints, _json),
+                           "edges": st.one_of(_pairs, _json)}),
+    st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
+        "worlds": st.just(n),
+        "edges": st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)),
+    })),
+)
+_algebra_objects = st.one_of(
+    _json,
+    st.fixed_dictionaries({"atoms": st.one_of(_ints, _json),
+                           "f_on_atoms": st.one_of(_pairs, _json)}),
+    st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+        "atoms": st.just(n),
+        "f_on_atoms": st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+    })),
+)
+_formula_asts = st.recursive(
+    st.one_of(st.sampled_from(["p", "q", "1", "0"])),
+    lambda sub: st.one_of(
+        sub.map(lambda a: f"~{a}"), sub.map(lambda a: f"<>({a})"),
+        sub.map(lambda a: f"[]({a})"),
+        st.tuples(sub, st.sampled_from(["&", "|", "->", "<->"]), sub)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    ),
+    max_leaves=6,
+)
+_formula_texts = st.one_of(_formula_asts, st.text("pq~&|-<>[]10() ", max_size=20),
+                           st.text(max_size=8))
+_valuation_texts = st.one_of(
+    st.none(), _json.map(json.dumps), st.text(max_size=6),
+    st.dictionaries(st.sampled_from("pqr"), st.lists(st.integers(-1, 4), max_size=3))
+    .map(json.dumps),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(frame=_frame_objects, algebra=_algebra_objects, formula=_formula_texts,
+       valuation=_valuation_texts, raw=st.binary(max_size=12))
+def test_main_survives_random_input(tmp_path_factory, frame, algebra, formula,
+                                    valuation, raw):
+    folder = tmp_path_factory.mktemp("fuzz")
+    frame_file, algebra_file = folder / "frame.json", folder / "algebra.json"
+    raw_file = folder / "raw.json"
+    frame_file.write_text(json.dumps(frame), encoding="utf-8")
+    algebra_file.write_text(json.dumps(algebra), encoding="utf-8")
+    raw_file.write_bytes(raw)
+    f, a = str(frame_file), str(algebra_file)
+    evaluate = ["eval", "--frame", f, f"--formula={formula}"]
+    if valuation is not None:
+        evaluate.append(f"--valuation={valuation}")
+    for argv in (
+        ["frame", "check", f, "--axiom", "T"],
+        ["frame", "check", f, "--condition", "reflexive"],
+        ["frame", "classify", f],
+        ["frame", "classify", str(raw_file)],
+        ["alg", "classify", a],
+        ["dual", "cm", f],
+        ["dual", "ult", a],
+        evaluate,
+        ["parse", "--", formula],
+        ["meet-axiom", "--", formula, formula],
+    ):
+        # a small budget keeps random formulas quick; over it is exit 3
+        with mock.patch.dict(os.environ, {"D2_BUDGET": str(1 << 16)}):
+            code, err = _run_main(argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        lines = err.split("\n")[:-1] if err else []
+        assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), \
+            (argv, err)

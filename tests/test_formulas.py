@@ -1,5 +1,12 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from depth2kit.errors import FormulaSyntaxError
 from depth2kit.formulas import (
@@ -136,3 +143,44 @@ def test_print_parse_round_trip(formula):
 def test_print_is_whitespace_normal(formula):
     text = print_formula(formula)
     assert parse_formula(" " + text.replace(" ", "  ") + " ") == formula
+
+
+@settings(max_examples=40)
+@given(_formulas)
+def test_equal_formulas_hash_equal(formula):
+    twin = parse_formula(print_formula(formula))
+    assert twin == formula and twin is not formula
+    assert hash(twin) == hash(formula)
+    assert hash(formula) == hash(formula)  # the cached value
+    for copied in (copy.copy(formula), copy.deepcopy(formula),
+                   pickle.loads(pickle.dumps(formula))):
+        assert copied == formula and hash(copied) == hash(formula)
+    assert {formula: 1}[twin] == 1
+
+
+_HASH_IN_CHILD = """
+import pickle, sys
+from depth2kit.formulas import parse_formula
+formula = parse_formula("<>p & <>~p -> [](q | r)")
+if sys.argv[1] == "dump":
+    hash(formula)  # fill the cache before pickling
+    sys.stdout.write(pickle.dumps(formula).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    assert loaded == formula and hash(loaded) == hash(formula)
+    assert hash(loaded.left) == hash(formula.left)
+    assert {formula: 1}[loaded] == 1
+"""
+
+
+def test_hash_survives_pickle_across_processes():
+    # string hashes are salted per process: a pickled cached hash would
+    # be stale in a process with another seed
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    dumped = subprocess.run(
+        [sys.executable, "-c", _HASH_IN_CHILD, "dump"], capture_output=True,
+        text=True, check=True, env={**env, "PYTHONHASHSEED": "1"}).stdout
+    subprocess.run([sys.executable, "-c", _HASH_IN_CHILD, "load"], input=dumped,
+                   text=True, check=True, env={**env, "PYTHONHASHSEED": "2"})

@@ -391,3 +391,36 @@ def test_algebra_dict_round_trip():
     assert algebra_from_dict(algebra.to_dict()).op == algebra.op
     with pytest.raises(DomainError):
         algebra_from_dict({"atoms": 2})
+
+
+def ref_conjugate_check(algebra, other):
+    """The pointwise check through the operators, element by element."""
+    f = algebra.op
+    for x in algebra.base.atoms():
+        for y in algebra.base.atoms():
+            if (f(x) & y == 0) != (other(y) & x == 0):
+                return False, (x, y)
+    return True, None
+
+
+def _transpose(values):
+    n = len(values)
+    return tuple(sum(1 << i for i in range(n) if values[i] >> j & 1)
+                 for j in range(n))
+
+
+def test_conjugate_check_matches_reference():
+    for n in (1, 2):
+        tables = list(iter_product(range(1 << n), repeat=n))
+        for f, g in iter_product(tables, repeat=2):
+            algebra, other = alg(FiniteBA(n), ModalOperator(f)), ModalOperator(g)
+            assert conjugate_check(algebra, other) == \
+                ref_conjugate_check(algebra, other), (f, g)
+    tables = list(iter_product(range(8), repeat=3))
+    for f, neighbour in zip(tables, tables[1:] + tables[:1]):
+        algebra = alg(B3, ModalOperator(f))
+        conjugate = ModalOperator(_transpose(f))
+        assert conjugate_check(algebra, conjugate) == \
+            ref_conjugate_check(algebra, conjugate) == (True, None), f
+        assert conjugate_check(algebra, ModalOperator(neighbour)) == \
+            ref_conjugate_check(algebra, ModalOperator(neighbour)), f

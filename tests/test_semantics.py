@@ -352,3 +352,90 @@ def test_values_out_of_domain_are_refused():
             eval_in_algebra(algebra, {"p": bad}, p)
     with pytest.raises(BindingError):
         eval_in_algebra(algebra, {"q": 1}, parse_formula("p & q"))
+
+
+# --- Reference: the walker that dispatched on node types at every step,
+# kept here as the oracle for the compiled ``eval_in_model``.
+
+
+def ref_eval_in_model(frame, valuation, formula):
+    top = (1 << frame.n_worlds) - 1
+    for name, mask in valuation.items():
+        if type(mask) is not int or not 0 <= mask <= top:
+            raise DomainError(f"value {mask!r} of {name!r} is not in 0..{top}")
+
+    def go(node):
+        if isinstance(node, Var):
+            try:
+                return valuation[node.name]
+            except KeyError:
+                raise BindingError(f"variable {node.name!r} has no value") from None
+        if isinstance(node, (Top, Bottom)):
+            return top if isinstance(node, Top) else 0
+        if isinstance(node, Not):
+            return top ^ go(node.child)
+        if isinstance(node, And):
+            return go(node.left) & go(node.right)
+        if isinstance(node, Or):
+            return go(node.left) | go(node.right)
+        if isinstance(node, Implies):
+            return (top ^ go(node.left)) | go(node.right)
+        if isinstance(node, Iff):
+            return top ^ (go(node.left) ^ go(node.right))
+        if isinstance(node, (Diamond, Box)):
+            flip = top if isinstance(node, Box) else 0  # []a is ~<>~a
+            worlds = flip ^ go(node.child)
+            out = 0
+            for x, row in enumerate(frame.rows):
+                if row & worlds:
+                    out |= 1 << x
+            return flip ^ out
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return go(formula)
+
+
+def _outcome(evaluate, *args):
+    """The value, or the type and message of the error raised."""
+    try:
+        return evaluate(*args)
+    except (BindingError, DomainError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_eval_in_model_matches_reference():
+    for n in range(1, 4):
+        for frame in enumerate_frames(n):
+            for formula in CATALOGUE:
+                names = sorted(variables(formula))
+                for values in product(range(1 << n), repeat=len(names)):
+                    valuation = dict(zip(names, values))
+                    assert eval_in_model(frame, valuation, formula) == \
+                        ref_eval_in_model(frame, valuation, formula), \
+                        (frame.rows, str(formula), valuation)
+
+
+# leaves that are not formulas, and variables that may have no value
+_junk = st.one_of(st.integers(-2, 2), st.none(), st.sampled_from(["p", "<>p"]))
+_any_formulas = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["p", "q", "r", "s"])),
+              st.just(Top()), st.just(Bottom()), _junk),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Diamond, sub), st.builds(Box, sub),
+        st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub), st.builds(Iff, sub, sub),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_formulas, st.integers(1, 4), st.data())
+def test_random_walks_match_reference(formula, n, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=10))
+    frame = make_frame(n, edges)
+    valuation = data.draw(st.dictionaries(
+        st.sampled_from(["p", "q", "r"]), st.integers(0, (1 << n) - 1)))
+    assert _outcome(eval_in_model, frame, valuation, formula) == \
+        _outcome(ref_eval_in_model, frame, valuation, formula)

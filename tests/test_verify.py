@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from depth2kit.cli import main
-from depth2kit.errors import DomainError
-from depth2kit.verify import SUITE_NAMES, SUITES, run_all, run_suite
+from depth2kit.errors import BudgetError, DomainError
+from depth2kit.verify import (
+    MAX_SUITE_INSTANCES, SUITE_NAMES, SUITES, run_all, run_suite,
+)
 
 # small bounds keep this module quick; the acceptance tests run the
 # criterion-level defaults
@@ -89,3 +92,76 @@ def test_verify_cli_refuses_vacuous_bounds(capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+@pytest.fixture()
+def entered(monkeypatch):
+    """Replace every suite's generator by one that records its entry."""
+    names = []
+
+    def recording(name):
+        def generate(p):
+            names.append(name)
+            yield (name, "", "", True)
+        return generate
+
+    for name, suite in SUITES.items():
+        monkeypatch.setitem(SUITES, name, replace(suite, generate=recording(name)))
+    return names
+
+
+@pytest.mark.parametrize("params", [{"atoms": 1}, {"worlds": 1, "atoms": 1}])
+def test_run_all_refuses_a_vacuous_bound_before_any_suite(entered, params):
+    with pytest.raises(DomainError, match="'sum_and_union' checks nothing"):
+        run_all(**params)
+    assert entered == []
+
+
+def test_suite_minimum_is_checked_first(entered):
+    for name in ("kn_embedding", "sum_and_union"):
+        with pytest.raises(DomainError, match="needs atoms >= 2"):
+            run_suite(name, atoms=1)
+    assert entered == []
+    run_all(atoms=2, worlds=1)
+    assert entered == list(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("duality_roundtrip", {"atoms": 5}),
+    ("p2_quasiidentity", {"atoms": 5}),
+    ("p2_quasiidentity", {"atoms": 10 ** 9}),
+    ("conjugacy", {"worlds": 5}),
+])
+def test_cost_guard_refuses_before_any_work(entered, name, params):
+    with pytest.raises(BudgetError, match=f"'{name}' .* more than {MAX_SUITE_INSTANCES}"):
+        run_suite(name, **params)
+    with pytest.raises(BudgetError):
+        run_all(**params)
+    assert entered == []
+
+
+@pytest.mark.parametrize("name, params", [
+    *((name, {}) for name in SUITE_NAMES),  # the defaults
+    ("duality_roundtrip", {"atoms": 3, "worlds": 5}),  # bounds perfbench runs
+    ("p2_quasiidentity", {"atoms": 4}),
+    ("conjugacy", {"worlds": 4, "atoms": 4}),
+])
+def test_cost_guard_allows_defaults_and_benchmark_bounds(entered, name, params):
+    assert run_suite(name, **params).checked == 1
+    assert entered == [name]
+
+
+def test_cost_guard_counts_exactly_below_the_cap():
+    assert SUITES["p2_quasiidentity"].cost({"atoms": 4}) == 2 + 16 + 512 + 65536
+    assert SUITES["conjugacy"].cost({"worlds": 4, "atoms": 1}) == 2 + 16 + 512 + 65536
+    assert SUITES["duality_roundtrip"].cost({"atoms": 5, "worlds": 1}) \
+        > MAX_SUITE_INSTANCES
+
+
+def test_verify_cli_refuses_costly_bounds(entered, capsys):
+    assert main(["verify", "--suite", "duality_roundtrip", "--atoms", "5"]) == 3
+    assert main(["verify", "--atoms", "5"]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") for line in err)
+    assert captured.out == "" and entered == []
