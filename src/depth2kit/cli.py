@@ -6,7 +6,8 @@ diagnostics to stderr.  Exit codes: 0 success, 1 a requested property
 check came out false, 2 usage or parse errors, 3 size or budget
 violations, 4 an internal error (a defect, never a verdict).  The
 environment variable D2_BUDGET overrides the brute-force evaluation
-budget.
+budget.  Each handler imports the modules it runs, so that a command
+(or --help) does not pay for importing the whole library.
 """
 
 from __future__ import annotations
@@ -15,27 +16,12 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .boolean import atom_indices
-from .duality import canonical_frame, complex_algebra
 from .errors import BudgetError, Depth2Error, DomainError, SizeError
-from .formulas import axiom, meet_axiom, parse_formula, print_formula
-from .frames import (
-    Frame,
-    classify_extremal,
-    cluster_poset,
-    enumerate_frames,
-    frame_condition,
-    frame_from_dict,
-)
-from .operators import (
-    algebra_from_dict,
-    classify_algebra,
-    irreducibility,
-    operator_properties,
-)
-from .semantics import eval_in_model, frame_validates
-from .verify import SUITE_NAMES, run_all, run_suite
+
+if TYPE_CHECKING:
+    from .frames import Frame
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,9 +35,11 @@ def _budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        raise Depth2Error(f"D2_BUDGET must be an integer, got {raw!r}") from None
+        pass
+    raise DomainError(f"D2_BUDGET must be an integer >= 1, got {raw!r}")
 
 
 def _load_json(path: str) -> dict:
@@ -81,14 +69,17 @@ def _parse_valuation(text: str, n_worlds: int) -> dict[str, int]:
 
 
 def _load_frame(path: str) -> Frame:
+    from .frames import frame_from_dict
     return frame_from_dict(_load_json(path))
 
 
 def _worlds(mask: int) -> list[int]:
+    from .boolean import atom_indices
     return list(atom_indices(mask))
 
 
 def _cmd_parse(args) -> int:
+    from .formulas import parse_formula, print_formula
     print(print_formula(parse_formula(args.formula)))
     return EXIT_OK
 
@@ -96,12 +87,15 @@ def _cmd_parse(args) -> int:
 def _cmd_frame_check(args) -> int:
     frame = _load_frame(args.file)
     if args.condition:
+        from .frames import frame_condition
         holds, witness = frame_condition(frame, args.condition)
         if holds:
             print(f"condition {args.condition}: holds")
             return EXIT_OK
         print(f"condition {args.condition}: fails, witness worlds {witness}")
         return EXIT_CHECK_FAILED
+    from .formulas import axiom
+    from .semantics import frame_validates
     formula = axiom(args.axiom)
     valid, valuation = frame_validates(frame, formula, budget=_budget())
     if valid:
@@ -113,6 +107,7 @@ def _cmd_frame_check(args) -> int:
 
 
 def _cmd_frame_classify(args) -> int:
+    from .frames import classify_extremal, cluster_poset, frame_condition
     frame = _load_frame(args.file)
     print(f"worlds: {frame.n_worlds}")
     if not frame_condition(frame, "quasiorder")[0]:
@@ -137,6 +132,8 @@ def _cmd_frame_classify(args) -> int:
 
 
 def _cmd_alg_classify(args) -> int:
+    from .operators import (algebra_from_dict, classify_algebra, irreducibility,
+                            operator_properties)
     algebra = algebra_from_dict(_load_json(args.file))
     props = operator_properties(algebra)
     closed = sorted(algebra.closed_elements())
@@ -162,6 +159,8 @@ def _emit(data: dict, out: str | None) -> None:
 
 
 def _cmd_dual(args) -> int:
+    from .duality import canonical_frame, complex_algebra
+    from .operators import algebra_from_dict
     if args.direction == "cm":
         algebra = complex_algebra(_load_frame(args.file))
         _emit(algebra.to_dict(), args.out)
@@ -172,6 +171,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    from .frames import enumerate_frames
     frames = enumerate_frames(
         args.worlds, quasiorder=args.quasiorder, max_depth=args.max_depth
     )
@@ -185,6 +185,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .formulas import parse_formula
+    from .semantics import eval_in_model, frame_validates
     frame = _load_frame(args.frame)
     formula = parse_formula(args.formula)
     everything = (1 << frame.n_worlds) - 1
@@ -204,12 +206,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all, run_suite
     overrides = {}
     if args.atoms is not None:
         overrides["atoms"] = args.atoms
     if args.worlds is not None:
         overrides["worlds"] = args.worlds
-    if args.suite:
+    if args.suite is not None:
         reports = [run_suite(args.suite, **overrides)]
     else:
         reports = run_all(**overrides)
@@ -226,6 +229,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_meet_axiom(args) -> int:
+    from .formulas import meet_axiom, parse_formula, print_formula
     left = parse_formula(args.left)
     right = parse_formula(args.right)
     print(print_formula(meet_axiom(left, right)))
@@ -287,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=SUITE_NAMES, default=None)
+    p.add_argument("--suite", default=None)
     p.add_argument("--atoms", type=int, default=None)
     p.add_argument("--worlds", type=int, default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")

@@ -531,10 +531,12 @@ def enumerate_frames(n_worlds: int, *, quasiorder: bool = False,
     depth; without it every relation is enumerated (bounded at 4
     worlds).
     """
-    if n_worlds < 1:
-        raise DomainError("world count must be positive")
+    if type(n_worlds) is not int or n_worlds < 1:  # bools are ints; refuse them
+        raise DomainError(f"world count must be an integer >= 1, got {n_worlds!r}")
     if max_depth is not None and not quasiorder:
         raise DomainError("max_depth filtering requires quasiorder enumeration")
+    if max_depth is not None and (type(max_depth) is not int or max_depth < 1):
+        raise DomainError(f"max_depth must be an integer >= 1, got {max_depth!r}")
     if quasiorder:
         if n_worlds > MAX_ENUM_QUASIORDER:
             raise SizeError(

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import and_, or_, xor
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .boolean import atom_indices
 from .errors import BindingError, BudgetError, DomainError
 from .formulas import (BOTTOM, And, Bottom, Box, Diamond, Formula, Iff, Implies,
                        Not, Or, Top, Var)
-from .frames import Frame
-from .operators import ModalAlgebra
+
+if TYPE_CHECKING:  # annotations only: evaluating formulas loads neither module
+    from .frames import Frame
+    from .operators import ModalAlgebra
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_BITS = 16  # a chunk holds 2**16 valuations: 8 KiB per world
@@ -148,6 +150,8 @@ def _refutation(rows: list, premises: tuple, conclusion: Formula, budget):
     names = sorted(set().union(*(names for names, _ in programs)))
     n, k = len(rows), len(names)
     limit = DEFAULT_BUDGET if budget is None else budget
+    if type(limit) is not int or limit < 1:  # bools are ints; refuse them
+        raise DomainError(f"budget must be an integer >= 1, got {limit!r}")
     if (1 << n) ** max(k, 1) > limit:
         raise BudgetError(f"{1 << n}**{k} exceeds the evaluation budget {limit}; "
                           "raise the budget explicitly to proceed")

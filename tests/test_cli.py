@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from depth2kit import cli
 from depth2kit.cli import main
+from depth2kit.verify import SUITE_NAMES
 
 
 @pytest.fixture()
@@ -93,6 +97,15 @@ def test_enum(capsys):
     assert main(["enum", "--worlds", "9", "--quasiorder"]) == 3
 
 
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_enum_max_depth_below_one(depth, capsys):
+    assert main(["enum", "--worlds", "3", "--quasiorder", "--max-depth", depth]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: max_depth must be")
+    assert captured.out == ""
+
+
 def test_eval(f2_file, capsys):
     assert main(["eval", "--frame", f2_file, "--formula", "<>p",
                  "--valuation", '{"p": [0]}']) == 0
@@ -109,6 +122,14 @@ def test_eval_budget(f2_file, monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "abc", "1.5", ""])
+def test_eval_budget_out_of_domain(budget, f2_file, monkeypatch, capsys):
+    monkeypatch.setenv("D2_BUDGET", budget)
+    assert main(["eval", "--frame", f2_file, "--formula", "p -> <>p"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: D2_BUDGET must be")
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "meets", "--atoms", "2"]) == 0
     out = capsys.readouterr().out
@@ -121,6 +142,16 @@ def test_verify_json(capsys):
     reports = json.loads(capsys.readouterr().out)
     assert reports[0]["suite"] == "sum_and_union"
     assert reports[0]["failures"] == []
+
+
+@pytest.mark.parametrize("name", ["bogus", ""])
+def test_verify_unknown_suite(name, capsys):
+    assert main(["verify", "--suite", name]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: unknown suite {name!r}")
+    assert all(suite in err[0] for suite in SUITE_NAMES)
+    assert captured.out == ""
 
 
 def test_meet_axiom(capsys):
@@ -311,3 +342,46 @@ def test_main_survives_random_input(tmp_path_factory, frame, algebra, formula,
         lines = err.split("\n")[:-1] if err else []
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), \
             (argv, err)
+
+
+_SHOW_MODULES = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    {code}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("depth2kit"))))
+"""
+_CLI = {"depth2kit", "depth2kit.cli", "depth2kit.errors"}
+_FRAMES = _CLI | {"depth2kit.boolean", "depth2kit.frames"}
+_SEMANTICS = _FRAMES | {"depth2kit.formulas", "depth2kit.semantics"}
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import depth2kit", {"depth2kit"}),
+    ("import depth2kit; depth2kit.frames.Frame",
+     {"depth2kit", "depth2kit.boolean", "depth2kit.errors", "depth2kit.frames"}),
+    ("import depth2kit.cli; depth2kit.cli.main(['--help'])", _CLI),
+    ("import depth2kit.cli; depth2kit.cli.main(['verify', '--help'])", _CLI),
+    ("import depth2kit.cli; depth2kit.cli.main(['parse', 'p -> <>p'])",
+     _CLI | {"depth2kit.formulas"}),
+    ("import depth2kit.cli; depth2kit.cli.main(['meet-axiom', 'p', 'q'])",
+     _CLI | {"depth2kit.formulas"}),
+    ("import depth2kit.cli; depth2kit.cli.main(['enum', '--worlds', '3'])", _FRAMES),
+    ("import depth2kit.cli; depth2kit.cli.main(['frame', 'check', FRAME, "
+     "'--condition', 'reflexive'])", _FRAMES),
+    ("import depth2kit.cli; depth2kit.cli.main(['frame', 'classify', FRAME])", _FRAMES),
+    ("import depth2kit.cli; depth2kit.cli.main(['frame', 'check', FRAME, "
+     "'--axiom', 'T'])", _SEMANTICS),
+    ("import depth2kit.cli; depth2kit.cli.main(['eval', '--frame', FRAME, "
+     "'--formula', '<>p', '--valuation', '{\"p\": [0]}'])", _SEMANTICS),
+], ids=["import", "submodule", "help", "verify_help", "parse", "meet_axiom", "enum",
+        "condition", "classify", "axiom", "eval"])
+def test_commands_import_only_what_they_run(code, loaded, f2_file):
+    # a fresh interpreter, since this one has imported every module
+    script = _SHOW_MODULES.format(code=code.replace("FRAME", repr(f2_file)))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == loaded

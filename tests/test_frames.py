@@ -319,3 +319,17 @@ def test_enumeration_bounds():
         enumerate_frames(5)
     with pytest.raises(DomainError):
         enumerate_frames(3, max_depth=2)
+
+
+@pytest.mark.parametrize("n_worlds, max_depth", [
+    (3, 0), (3, -2), (3, True), (3, 1.0), (3, "2"), (True, None), (2.0, None),
+    (0, None),
+])
+def test_enumeration_refuses_out_of_domain(n_worlds, max_depth):
+    with pytest.raises(DomainError):
+        enumerate_frames(n_worlds, quasiorder=True, max_depth=max_depth)
+
+
+def test_enumeration_depth_one():
+    frames = enumerate_frames(3, quasiorder=True, max_depth=1)
+    assert frames and all(cluster_poset(f).depth == 1 for f in frames)

@@ -159,6 +159,19 @@ def test_budget_guard():
         premises_active(algebra, [wide])
 
 
+@pytest.mark.parametrize("budget", [0, -5, True, False, "8", 2.0])
+def test_budget_out_of_domain_is_refused(budget):
+    ba = FiniteBA(2)
+    algebra = ModalAlgebra(ba, identity_operator(ba))
+    formula = parse_formula("p | ~p")
+    with pytest.raises(DomainError, match="budget"):
+        frame_validates(F2, formula, budget=budget)
+    with pytest.raises(DomainError, match="budget"):
+        algebra_validates(algebra, formula, budget=budget)
+    with pytest.raises(DomainError, match="budget"):
+        premises_active(algebra, [formula], budget=budget)
+
+
 # --- Reference: the searches valuation by valuation that the bit-sliced
 # engine replaced, kept here as the oracle for verdicts and witnesses.
 
