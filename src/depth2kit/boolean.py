@@ -31,6 +31,16 @@ def atom_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def transpose(rows) -> tuple[int, ...]:
+    """The transposed bit matrix: bit x of ``out[y]`` is bit y of
+    ``rows[x]``, as predecessor rows are to successor rows."""
+    out = [0] * len(rows)
+    for x, mask in enumerate(rows):
+        for y in atom_indices(mask):
+            out[y] |= 1 << x
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FiniteBA:
     """The powerset algebra on ``n_atoms`` indexed atoms."""

@@ -207,15 +207,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import run_all, run_suite
-    overrides = {}
-    if args.atoms is not None:
-        overrides["atoms"] = args.atoms
-    if args.worlds is not None:
-        overrides["worlds"] = args.worlds
+    bounds = {"atoms": args.atoms, "worlds": args.worlds}  # None: the default
     if args.suite is not None:
-        reports = [run_suite(args.suite, **overrides)]
+        reports = [run_suite(args.suite, **bounds)]
     else:
-        reports = run_all(**overrides)
+        reports = run_all(**bounds)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports]))
     else:
@@ -267,14 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dual = sub.add_parser("dual", help="duality maps")
     dual_sub = dual.add_subparsers(dest="direction", required=True)
-    p = dual_sub.add_parser("cm", help="complex algebra of a frame file")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_dual, direction="cm")
-    p = dual_sub.add_parser("ult", help="canonical frame of an algebra file")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_dual, direction="ult")
+    for direction, text in (("cm", "complex algebra of a frame file"),
+                            ("ult", "canonical frame of an algebra file")):
+        p = dual_sub.add_parser(direction, help=text)
+        p.add_argument("file")
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_dual)
 
     p = sub.add_parser("enum", help="enumerate frames up to isomorphism")
     p.add_argument("--worlds", type=int, required=True)

@@ -11,45 +11,35 @@ the operator's atom table *is* the predecessor table of the relation.
 
 from __future__ import annotations
 
-from .boolean import FiniteBA, atom_indices
-from .errors import SizeError
-from .frames import MAX_WORLDS, Frame, _isomorphism
+from .boolean import FiniteBA, transpose
+from .frames import Frame, _labelling
 from .operators import ModalAlgebra, ModalOperator
 
 
 def complex_algebra(frame: Frame) -> ModalAlgebra:
     """Powerset algebra of the frame; f(atom w) = predecessors of w."""
-    n = frame.n_worlds
-    values = [0] * n
-    for x in range(n):
-        for w in atom_indices(frame.rows[x]):
-            values[w] |= 1 << x
-    return ModalAlgebra(FiniteBA(n), ModalOperator(tuple(values)))
+    return ModalAlgebra(FiniteBA(frame.n_worlds), ModalOperator(transpose(frame.rows)))
 
 
 def canonical_frame(algebra: ModalAlgebra) -> Frame:
     """Frame on the atoms: i relates to j exactly when atom i <= f(atom j)."""
-    n = algebra.n_atoms
-    if n > MAX_WORLDS:
-        raise SizeError(
-            f"canonical frame would have {n} worlds, cap is {MAX_WORLDS}"
-        )
-    rows = [0] * n
-    for j, value in enumerate(algebra.op.atom_values):
-        for i in atom_indices(value):
-            rows[i] |= 1 << j
-    return Frame(n, tuple(rows))
+    # beyond MAX_WORLDS atoms, Frame refuses with SizeError
+    return Frame(algebra.n_atoms, transpose(algebra.op.atom_values))
 
 
 def algebras_isomorphic(a: ModalAlgebra, b: ModalAlgebra):
-    """Search for an atom bijection transporting one operator onto the other.
+    """Decide whether an atom bijection transports one operator onto the other.
 
     Returns (found, permutation) where permutation maps atom indices of
     the first algebra to atom indices of the second.  An atom table is
-    the predecessor-row table of the canonical frame, so this is the
-    frame isomorphism search run on the tables.
+    the predecessor-row table of the canonical frame, so both tables get
+    the frames' canonical labelling; equal forms give *an* isomorphism,
+    one labelling followed by the inverse of the other.
     """
     if a.n_atoms != b.n_atoms:
         return False, None
-    perm = _isomorphism(a.op.atom_values, b.op.atom_values)
-    return perm is not None, perm
+    form_a, perm_a = _labelling(a.op.atom_values)
+    form_b, perm_b = _labelling(b.op.atom_values)
+    if form_a != form_b:
+        return False, None
+    return True, tuple(perm_b.index(label) for label in perm_a)

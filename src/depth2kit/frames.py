@@ -7,20 +7,22 @@ clusters carry a partial order whose longest-chain lengths give levels
 and depth.  A depth-two quasiorder is *extremal* when its restriction
 to each level is the identity or the universal relation; the four kinds
 are named ii, iu, ui, uu by (lower level, upper level) restriction.
+One colour-refined canonical labelling serves ``canonical_form``, the
+quasiorder enumerator and ``duality.algebras_isomorphic``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
-from .boolean import atom_indices
+from .boolean import atom_indices, transpose
 from .errors import DomainError, PreconditionError, SizeError
 
 MAX_WORLDS = 12
 MAX_CANONICAL_WORLDS = 7
-MAX_ENUM_QUASIORDER = 5
+MAX_ENUM_QUASIORDER = 7
 MAX_ENUM_GENERAL = 4
 
 EXTREMAL_KINDS = ("ii", "iu", "ui", "uu")
@@ -44,12 +46,6 @@ class Frame:
         for row in self.rows:
             if not 0 <= row <= top:
                 raise DomainError(f"relation row {row} out of range")
-
-    def has_edge(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
-    def successors(self, x: int) -> int:
-        return self.rows[x]
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -91,13 +87,7 @@ def make_frame(n_worlds: int, edges) -> Frame:
 
 def converse_frame(frame: Frame) -> Frame:
     """Transpose the relation; an involution."""
-    n = frame.n_worlds
-    rows = [0] * n
-    for x in range(n):
-        mask = frame.rows[x]
-        for y in atom_indices(mask):
-            rows[y] |= 1 << x
-    return Frame(n, tuple(rows))
+    return Frame(frame.n_worlds, transpose(frame.rows))
 
 
 # --- Clusters and depth ---
@@ -140,12 +130,6 @@ class ClusterPoset:
 
     def is_simple(self, i: int) -> bool:
         return len(self.clusters[i]) == 1
-
-    def cluster_of(self, world: int) -> int:
-        for i, members in enumerate(self.clusters):
-            if world in members:
-                return i
-        raise DomainError(f"world {world} not covered")
 
     def level_worlds(self, level: int) -> int:
         """Bitmask of the worlds whose cluster sits at ``level``."""
@@ -388,8 +372,6 @@ def extremal_rows(kind: str, u_mask: int, v_mask: int, n_worlds: int) -> tuple[i
 
 def make_extremal(kind: str, u_size: int, v_size: int) -> Frame:
     """Frame on u_size + v_size worlds carrying the kind's relation."""
-    if kind not in EXTREMAL_KINDS:
-        raise KeyError(f"unknown extremal kind {kind!r}")
     if u_size < 1 or v_size < 1:
         raise DomainError("both levels need at least one world")
     n = u_size + v_size
@@ -426,46 +408,63 @@ def classify_extremal(frame: Frame) -> frozenset[tuple[str, int, int]]:
 # --- Isomorphism and enumeration ---
 
 
-def _relabel(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for y in atom_indices(mask):
-        out |= 1 << perm[y]
-    return out
+def _apply_permutation(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(rows)
+    for x, mask in enumerate(rows):
+        image = 0
+        for y in atom_indices(mask):
+            image |= 1 << perm[y]
+        out[perm[x]] = image
+    return tuple(out)
 
 
-def _apply_permutation(frame_rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    rows = [0] * len(frame_rows)
-    for x, mask in enumerate(frame_rows):
-        rows[perm[x]] = _relabel(mask, perm)
-    return tuple(rows)
+def _labelling(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical relabeling of relation rows and a permutation giving it.
+
+    World colours are refined until stable (McKay & Piperno, *Practical
+    graph isomorphism II*): a world's next colour is the rank, among the
+    distinct signatures, of (its colour, its successors' colours sorted,
+    its predecessors' colours sorted).  The result is the least
+    (relabeled rows, perm) over the permutations giving each colour cell
+    one consecutive block of labels, cells in colour order; ``perm[x]``
+    is the new label of world x.  Neither the cells nor their order
+    depend on the input labels, so isomorphic rows get equal forms.
+    """
+    n = len(rows)
+    if n > MAX_CANONICAL_WORLDS:
+        raise SizeError(
+            f"canonical labelling is bounded at {MAX_CANONICAL_WORLDS} worlds, got {n}"
+        )
+    preds = transpose(rows)
+    colour, cells = [0] * n, 1
+    while True:
+        signatures = [
+            (colour[x], tuple(sorted(colour[y] for y in atom_indices(rows[x]))),
+             tuple(sorted(colour[y] for y in atom_indices(preds[x]))))
+            for x in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        if len(rank) == cells:
+            break
+        colour, cells = [rank[s] for s in signatures], len(rank)
+    blocks = [[x for x in range(n) if colour[x] == c] for c in range(cells)]
+
+    def relabeled(orders):
+        order = [x for block in orders for x in block]
+        perm = tuple(map(order.index, range(n)))
+        return _apply_permutation(rows, perm), perm
+
+    return min(map(relabeled, product(*map(permutations, blocks))))
 
 
 def canonical_form(frame: Frame) -> Frame:
-    """Lexicographically least relabeling over all world permutations.
+    """The frame relabeled by its colour-refined canonical labelling.
 
     Two frames are isomorphic exactly when their canonical forms agree.
+    The form is the least relabeling among those that keep the refined
+    colour cells in order, not the least over all world permutations.
     """
-    n = frame.n_worlds
-    if n > MAX_CANONICAL_WORLDS:
-        raise SizeError(
-            f"canonical form is bounded at {MAX_CANONICAL_WORLDS} worlds, got {n}"
-        )
-    best = min(_apply_permutation(frame.rows, p) for p in permutations(range(n)))
-    return Frame(n, best)
-
-
-def _isomorphism(rows_a: tuple[int, ...], rows_b: tuple[int, ...]):
-    """First permutation, in ``permutations`` order, relabeling rows_a as
-    rows_b, or None.  Predecessor rows (atom tables) relabel alike."""
-    n = len(rows_a)
-    if n > MAX_CANONICAL_WORLDS:
-        raise SizeError(
-            f"isomorphism search is bounded at {MAX_CANONICAL_WORLDS} worlds, got {n}"
-        )
-    for perm in permutations(range(n)):
-        if all(_relabel(rows_a[x], perm) == rows_b[perm[x]] for x in range(n)):
-            return perm
-    return None
+    return Frame(frame.n_worlds, _labelling(frame.rows)[0])
 
 
 @lru_cache(maxsize=None)
@@ -492,7 +491,7 @@ def _quasiorders_up_to_iso(n: int) -> tuple[Frame, ...]:
                     tuple(r | new if seers >> z & 1 else r for z, r in enumerate(rows))
                     + (new,)
                 )
-        forms.update(canonical_form(Frame(n, c)).rows for c in candidates)
+        forms.update(_labelling(c)[0] for c in candidates)
     return tuple(Frame(n, rows) for rows in sorted(forms))
 
 
@@ -527,7 +526,7 @@ def enumerate_frames(n_worlds: int, *, quasiorder: bool = False,
     """All frames on n_worlds worlds up to isomorphism, deterministically.
 
     With ``quasiorder=True`` only reflexive-transitive frames are
-    produced (bounded at 5 worlds) and ``max_depth`` filters on cluster
+    produced (bounded at 7 worlds) and ``max_depth`` filters on cluster
     depth; without it every relation is enumerated (bounded at 4
     worlds).
     """

@@ -555,14 +555,8 @@ def embeds(small: ModalAlgebra, big: ModalAlgebra):
         images = [0] * ns
         for big_atom, small_index in enumerate(assignment):
             images[small_index] |= 1 << big_atom
-        ok = True
-        for i in range(ns):
-            transported = 0
-            for j in atom_indices(small_values[i]):
-                transported |= images[j]
-            if big.op(images[i]) != transported:
-                ok = False
-                break
-        if ok:
+        # the images are disjoint blocks, so their sum is their join
+        if all(big.op(images[i]) == sum(images[j] for j in atom_indices(value))
+               for i, value in enumerate(small_values)):
             return True, tuple(images)
     return False, None

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_, xor
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .boolean import atom_indices
+from .boolean import atom_indices, transpose
 from .errors import BindingError, BudgetError, DomainError
 from .formulas import (BOTTOM, And, Bottom, Box, Diamond, Formula, Iff, Implies,
                        Not, Or, Top, Var)
@@ -173,11 +173,7 @@ def _refutation(rows: list, premises: tuple, conclusion: Formula, budget):
 
 def _atom_rows(algebra: ModalAlgebra) -> list:
     """Successors of each atom: atom i sees j exactly when i <= f(atom j)."""
-    rows = [0] * algebra.n_atoms
-    for j, value in enumerate(algebra.op.atom_values):
-        for i in atom_indices(value):
-            rows[i] |= 1 << j
-    return [atom_indices(row) for row in rows]
+    return [atom_indices(row) for row in transpose(algebra.op.atom_values)]
 
 
 def frame_validates(frame: Frame, formula: Formula, budget: int | None = None):

@@ -17,9 +17,11 @@ from typing import Callable, Iterator
 
 from .boolean import MAX_ATOMS, FiniteBA
 from .duality import algebras_isomorphic, canonical_frame, complex_algebra
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, SizeError
 from .formulas import axiom, meet_axiom, rule_p2
 from .frames import (
+    MAX_ENUM_GENERAL,
+    MAX_ENUM_QUASIORDER,
     MAX_WORLDS,
     Frame,
     canonical_form,
@@ -31,6 +33,8 @@ from .frames import (
     make_frame,
 )
 from .operators import (
+    MAX_EMBED_ATOMS,
+    MAX_SUBALGEBRA_ATOMS,
     AlgebraClass,
     ModalAlgebra,
     ModalOperator,
@@ -173,12 +177,8 @@ def _suite_s42_equals_s43_depth2(p) -> Iterator[Check]:
 
 
 def _shape_check(kind, ba, a, frame) -> bool:
-    u_mask = 0
-    for i, atom in enumerate(ba.atoms()):
-        if atom | a == a:
-            u_mask |= 1 << i
-    v_mask = ba.top ^ u_mask
-    return frame.rows == extremal_rows(kind, u_mask, v_mask, ba.n_atoms)
+    # the lower level is the atoms below a, whose mask is a itself
+    return frame.rows == extremal_rows(kind, a, ba.top ^ a, ba.n_atoms)
 
 
 def _suite_canonical_shapes(p) -> Iterator[Check]:
@@ -458,6 +458,7 @@ class Suite:
     defaults: dict[str, int] = field(hash=False)
     generate: Callable[[dict], Iterator[Check]] = field(hash=False)
     minimum: dict[str, int] = field(default_factory=dict, hash=False)
+    maximum: dict[str, int] = field(default_factory=dict, hash=False)
     cost: Callable[[dict], int] | None = field(default=None, hash=False)
 
 
@@ -470,6 +471,7 @@ SUITES: dict[str, Suite] = {
             "and canonical frame of the complex algebra reproduces the frame",
             {"atoms": 3, "worlds": 4},
             _suite_duality_roundtrip,
+            maximum={"worlds": MAX_ENUM_QUASIORDER},
             cost=_tables,
         ),
         Suite(
@@ -478,6 +480,7 @@ SUITES: dict[str, Suite] = {
             "first-order condition holds",
             {"worlds": 4},
             _suite_table1,
+            maximum={"worlds": MAX_ENUM_GENERAL},
         ),
         Suite(
             "s42_equals_s43_depth2",
@@ -485,6 +488,7 @@ SUITES: dict[str, Suite] = {
             "at most two and come apart at depth three",
             {"worlds": 5},
             _suite_s42_equals_s43_depth2,
+            maximum={"worlds": MAX_ENUM_QUASIORDER},
         ),
         Suite(
             "canonical_shapes",
@@ -506,6 +510,7 @@ SUITES: dict[str, Suite] = {
             "stay ii",
             {"atoms": 4},
             _suite_closure_properties,
+            maximum={"atoms": MAX_SUBALGEBRA_ATOMS},
         ),
         Suite(
             "sum_and_union",
@@ -536,6 +541,7 @@ SUITES: dict[str, Suite] = {
             "variable-disjoint boxed disjunction",
             {"worlds": 4},
             _suite_lmeet_soundness,
+            maximum={"worlds": MAX_ENUM_QUASIORDER},
         ),
         Suite(
             "kn_embedding",
@@ -544,6 +550,7 @@ SUITES: dict[str, Suite] = {
             {"atoms": 4},
             _suite_kn_embedding,
             minimum={"atoms": 2},
+            maximum={"atoms": MAX_EMBED_ATOMS},
         ),
         Suite(
             "p2_quasiidentity",
@@ -560,11 +567,13 @@ SUITES: dict[str, Suite] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def _bounds(name: str, params: dict) -> dict[str, int]:
+def _bounds(name: str, params: dict, capped: bool = True) -> dict[str, int]:
     """The suite's defaults overridden by ``params``, refused before any
     work: unknown names (KeyError), bounds that are not integers >= 1 or
-    below the suite's ``minimum`` (DomainError), and bounds whose ``cost``
-    in instances is over MAX_SUITE_INSTANCES (BudgetError)."""
+    below the suite's ``minimum`` (DomainError), bounds whose ``cost``
+    in instances is over MAX_SUITE_INSTANCES (BudgetError) and, when
+    ``capped``, bounds above the suite's ``maximum``, the library cap
+    its enumeration would hit partway (SizeError)."""
     if name not in SUITES:
         raise KeyError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
@@ -587,6 +596,10 @@ def _bounds(name: str, params: dict) -> dict[str, int]:
     if suite.cost is not None and suite.cost(merged) > MAX_SUITE_INSTANCES:
         raise BudgetError(f"suite {name!r} at {merged} would sweep more than "
                           f"{MAX_SUITE_INSTANCES} instances; lower its bounds")
+    for key, most in suite.maximum.items() if capped else ():
+        if merged[key] > most:
+            raise SizeError(f"suite {name!r} is bounded at {key}={most}, "
+                            f"got {key}={merged[key]}")
     return merged
 
 
@@ -609,11 +622,13 @@ def run_suite(name: str, **params: int) -> VerificationReport:
 
 def run_all(**params: int) -> list[VerificationReport]:
     """Run every suite, passing each only the parameters it understands;
-    every suite's bounds are checked before the first suite starts."""
+    every suite's bounds are checked before the first suite starts, the
+    budget of every suite before any suite's ``maximum``."""
     applicable = {
         name: {k: v for k, v in params.items() if k in suite.defaults}
         for name, suite in SUITES.items()
     }
-    for name, bounds in applicable.items():
-        _bounds(name, bounds)
+    for capped in (False, True):
+        for name, bounds in applicable.items():
+            _bounds(name, bounds, capped)
     return [run_suite(name, **bounds) for name, bounds in applicable.items()]

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 from itertools import product as iter_product
 
@@ -123,6 +124,36 @@ def test_algebras_isomorphic_matches_reference():
         found += verdict[0]
     # both verdicts occur
     assert len(three) * 6 < found < len(pairs)
+
+
+def test_algebras_isomorphic_matches_reference_up_to_seven_atoms():
+    # the witness is *an* isomorphism, not the reference's first one
+    rng = random.Random(7)
+    for n in range(4, 8):
+        ba = FiniteBA(n)
+        tables = [ModalAlgebra(ba, ModalOperator(tuple(
+            rng.randrange(ba.size) for _ in range(n)))) for _ in range(4)]
+        tables.append(ModalAlgebra(ba, identity_operator(ba)))
+        # a simple root under n - 1 simple tops: one colour cell of n - 1
+        star = make_frame(n, [(x, x) for x in range(n)] + [(0, x) for x in range(n)])
+        tables.append(complex_algebra(star))
+        if n < 7:
+            tables += map(complex_algebra,
+                          rng.sample(enumerate_frames(n, quasiorder=True), 4))
+        for a in tables:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copy = _relabeled(a, perm)
+            values = list(copy.op.atom_values)
+            values[rng.randrange(n)] ^= 1 << rng.randrange(n)
+            near_miss = ModalAlgebra(ba, ModalOperator(tuple(values)))
+            for b in (copy, near_miss):
+                found, witness = algebras_isomorphic(a, b)
+                assert found == ref_algebras_isomorphic(a, b)[0], (a, b)
+                assert found or witness is None
+                if found:
+                    assert _relabeled(a, witness) == b, (a, b, witness)
+            assert algebras_isomorphic(a, copy)[0]
 
 
 def test_round_trip_algebras():

@@ -1,3 +1,5 @@
+import random
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -47,6 +49,39 @@ def oracle_quasiorder_classes(n):
         )
         classes.add(canon)
     return classes
+
+
+# Reference for canonical_form: the earlier brute-force labelling, the
+# least relabeled row tuple over all n! world permutations.  It induces
+# the isomorphism partition; canonical_form must induce the same one.
+
+
+def ref_relabel(rows, perm):
+    out = [0] * len(rows)
+    for x, mask in enumerate(rows):
+        out[perm[x]] = sum(1 << perm[y] for y in range(len(rows)) if mask >> y & 1)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def ref_mask_images(n):
+    # per permutation: the inverse, and the image of every world mask
+    return [(tuple(sorted(range(n), key=perm.__getitem__)),
+             [sum(1 << perm[y] for y in range(n) if mask >> y & 1)
+              for mask in range(1 << n)])
+            for perm in permutations(range(n))]
+
+
+def ref_canonical_form(frame):
+    rows = frame.rows
+    return min(tuple(image[rows[x]] for x in inverse)
+               for inverse, image in ref_mask_images(frame.n_worlds))
+
+
+def assert_same_partition(frames):
+    # the two forms must determine each other on the given frames
+    pairs = {(canonical_form(f).rows, ref_canonical_form(f)) for f in frames}
+    assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
 def edge_canon(frame):
@@ -274,6 +309,46 @@ def test_canonical_form():
         canonical_form(Frame(8, tuple(1 << i for i in range(8))))
 
 
+def test_canonical_form_partition_matches_reference():
+    for n in range(1, 4):
+        assert_same_partition(
+            Frame(n, tuple(m >> x * n & (1 << n) - 1 for x in range(n)))
+            for m in range(1 << n * n))
+    # every labeled quasiorder is a relabeling of an enumerated class
+    for n in range(1, 6):
+        classes = enumerate_frames(n, quasiorder=True)
+        assert_same_partition(classes)
+        for frame in classes:
+            form = canonical_form(frame)
+            for perm in permutations(range(n)):
+                assert canonical_form(Frame(n, ref_relabel(frame.rows, perm))) == form
+
+
+def test_canonical_form_separates_the_six_world_classes():
+    classes = enumerate_frames(6, quasiorder=True)
+    assert len({ref_canonical_form(f) for f in classes}) == len(classes) == 718
+
+
+def test_canonical_form_is_invariant_under_relabeling():
+    rng = random.Random(20231)
+    identity7 = Frame(7, tuple(1 << x for x in range(7)))
+    star7 = Frame(7, (0b1111111,) + tuple(1 << x for x in range(1, 7)))
+    frames = [identity7, star7]  # a single colour cell of 7 and one of 6
+    frames += rng.sample(enumerate_frames(6, quasiorder=True), 40)
+    for n in range(4, 8):
+        frames += [Frame(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+                   for _ in range(15)]
+    for frame in frames:
+        form = canonical_form(frame)
+        assert sorted(map(int.bit_count, form.rows)) == sorted(
+            map(int.bit_count, frame.rows))
+        for _ in range(3):
+            perm = list(range(frame.n_worlds))
+            rng.shuffle(perm)
+            assert canonical_form(Frame(frame.n_worlds, ref_relabel(frame.rows, perm))) \
+                == form, (frame, perm)
+
+
 def test_enumeration_against_oracle():
     for n, expected in ((1, 1), (2, 3), (3, 9)):
         oracle = oracle_quasiorder_classes(n)
@@ -284,8 +359,8 @@ def test_enumeration_against_oracle():
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_frames(n, quasiorder=True)) for n in range(1, 6)] == [
-        1, 3, 9, 33, 139]
+    assert [len(enumerate_frames(n, quasiorder=True)) for n in range(1, 7)] == [
+        1, 3, 9, 33, 139, 718]
     assert len(enumerate_frames(3, quasiorder=True, max_depth=2)) == 8
     assert [len(enumerate_frames(n)) for n in range(1, 4)] == [2, 10, 104]
 
@@ -314,7 +389,7 @@ def test_enumeration_no_duplicates():
 
 def test_enumeration_bounds():
     with pytest.raises(SizeError):
-        enumerate_frames(6, quasiorder=True)
+        enumerate_frames(8, quasiorder=True)
     with pytest.raises(SizeError):
         enumerate_frames(5)
     with pytest.raises(DomainError):

@@ -4,7 +4,10 @@ from dataclasses import replace
 import pytest
 
 from depth2kit.cli import main
-from depth2kit.errors import BudgetError, DomainError
+from depth2kit import verify
+from depth2kit.errors import BudgetError, DomainError, SizeError
+from depth2kit.frames import MAX_ENUM_GENERAL, MAX_ENUM_QUASIORDER
+from depth2kit.operators import MAX_EMBED_ATOMS, MAX_SUBALGEBRA_ATOMS
 from depth2kit.verify import (
     MAX_SUITE_INSTANCES, SUITE_NAMES, SUITES, run_all, run_suite,
 )
@@ -149,6 +152,37 @@ def test_cost_guard_refuses_before_any_work(entered, name, params):
 def test_cost_guard_allows_defaults_and_benchmark_bounds(entered, name, params):
     assert run_suite(name, **params).checked == 1
     assert entered == [name]
+
+
+_CAPS = [
+    ("table1", "worlds", MAX_ENUM_GENERAL),
+    ("duality_roundtrip", "worlds", MAX_ENUM_QUASIORDER),
+    ("s42_equals_s43_depth2", "worlds", MAX_ENUM_QUASIORDER),
+    ("lmeet_soundness", "worlds", MAX_ENUM_QUASIORDER),
+    ("closure_properties", "atoms", MAX_SUBALGEBRA_ATOMS),
+    ("kn_embedding", "atoms", MAX_EMBED_ATOMS),
+]
+
+
+@pytest.mark.parametrize("name, key, cap", _CAPS)
+def test_library_cap_refuses_before_any_work(entered, capsys, name, key, cap):
+    with pytest.raises(SizeError, match=f"'{name}' is bounded at {key}={cap}"):
+        run_suite(name, **{key: cap + 1})
+    # every over-cap bound of run_all is also over a suite's budget
+    with pytest.raises(BudgetError):
+        run_all(**{key: cap + 1})
+    assert main(["verify", "--suite", name, f"--{key}", str(cap + 1)]) == 3
+    assert main(["verify", f"--{key}", str(cap + 1)]) == 3
+    assert entered == []
+    assert run_suite(name, **{key: cap}).checked == 1
+    assert entered == [name]
+
+
+def test_run_all_refuses_a_capped_bound_before_any_suite(entered, monkeypatch):
+    monkeypatch.setattr(verify, "MAX_SUITE_INSTANCES", 1 << 60)
+    with pytest.raises(SizeError, match="'table1' is bounded at worlds=4"):
+        run_all(worlds=5)
+    assert entered == []
 
 
 def test_cost_guard_counts_exactly_below_the_cap():
