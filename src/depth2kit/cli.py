@@ -86,7 +86,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_frame_check(args) -> int:
     frame = _load_frame(args.file)
-    if args.condition:
+    if args.condition is not None:
         from .frames import frame_condition
         holds, witness = frame_condition(frame, args.condition)
         if holds:

@@ -3,15 +3,16 @@
 Surface syntax (ASCII): ``~`` negation, ``&`` conjunction, ``|``
 disjunction, ``->`` implication (right associative), ``<->``
 biconditional, ``<>`` possibility, ``[]`` necessity, ``1`` verum,
-``0`` falsum.  Grammar::
+``0`` falsum.  The connective table below is the one place this syntax
+is defined: the lexer, parser, printer and tree walks all read their
+symbols, precedence and node classes from it.  Grammar::
 
     formula := iff
     iff     := imp ("<->" imp)*
     imp     := or ("->" imp)?
     or      := and ("|" and)*
     and     := unary ("&" unary)*
-    unary   := ("~" | "<>" | "[]") unary | atom
-    atom    := var | "1" | "0" | "(" formula ")"
+    unary   := ("~" | "<>" | "[]") unary | var | "1" | "0" | "(" formula ")"
     var     := [a-z][a-zA-Z0-9_]*
 
 ``[]`` is a primitive AST node rather than sugar for ``~<>~``; the
@@ -111,6 +112,28 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
+# --- The connective table: the one place the syntax is defined ---
+
+# binary connectives loosest first, a connective's index being its
+# precedence level; all but _RIGHT associate to the left
+_BINARY = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+_RIGHT = "->"
+_PREFIX = {"~": Not, "<>": Diamond, "[]": Box}
+_CONSTANTS = {"1": TOP, "0": BOTTOM}
+_UNARY = len(_BINARY)  # prefix operators bind tighter than "&", constants tighter still
+_SYNTAX = {  # node class -> (symbol, precedence level)
+    **{cls: (symbol, level) for level, (symbol, cls) in enumerate(_BINARY)},
+    **{cls: (symbol, _UNARY) for symbol, cls in _PREFIX.items()},
+    **{type(node): (symbol, _UNARY + 1) for symbol, node in _CONSTANTS.items()},
+}
+
+
+def _children(node) -> list:
+    """A node's fields in order: its subformulas, or a Var's name; nothing
+    for constants and for values that are not nodes."""
+    return [getattr(node, name) for name in getattr(type(node), "__match_args__", ())]
+
+
 def variables(formula: Formula) -> frozenset[str]:
     """The set of variable names occurring in ``formula``."""
     out: set[str] = set()
@@ -119,67 +142,33 @@ def variables(formula: Formula) -> frozenset[str]:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        elif isinstance(node, (Not, Diamond, Box)):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
+        else:
+            stack.extend(_children(node))
     return frozenset(out)
 
 
 # --- Lexer ---
 
-_VAR_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-
-# token kinds: ( ) ~ & | -> <-> <> [] 1 0 var eof
+_SYMBOLS = (*_PREFIX, *(symbol for symbol, _ in _BINARY), *_CONSTANTS, "(", ")")
+# whitespace, a symbol (longest first), a variable, or a bad character
+_TOKEN_RE = re.compile(r"\s+|(%s)|([a-z][a-zA-Z0-9_]*)|(\S)" % "|".join(
+    map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, 1-based column) triples plus a final eof."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()~&|10":
-            kind = {"(": "(", ")": ")", "~": "~", "&": "&", "|": "|",
-                    "1": "1", "0": "0"}[ch]
-            tokens.append((kind, ch, col))
-            i += 1
-            continue
-        if ch == "-":
-            if text.startswith("->", i):
-                tokens.append(("->", "->", col))
-                i += 2
-                continue
-            raise FormulaSyntaxError("'-' must start '->'", col, {"->"})
-        if ch == "<":
-            if text.startswith("<->", i):
-                tokens.append(("<->", "<->", col))
-                i += 3
-                continue
-            if text.startswith("<>", i):
-                tokens.append(("<>", "<>", col))
-                i += 2
-                continue
-            raise FormulaSyntaxError("'<' must start '<>' or '<->'", col,
-                                     {"<>", "<->"})
-        if ch == "[":
-            if text.startswith("[]", i):
-                tokens.append(("[]", "[]", col))
-                i += 2
-                continue
-            raise FormulaSyntaxError("'[' must start '[]'", col, {"[]"})
-        m = _VAR_RE.match(text, i)
-        if m:
-            tokens.append(("var", m.group(), col))
-            i = m.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", col)
-    tokens.append(("eof", "", n + 1))
+    for match in _TOKEN_RE.finditer(text):
+        symbol, name, bad = match.groups()
+        col = match.start() + 1
+        if bad:
+            starts = [s for s in _SYMBOLS if len(s) > 1 and s[0] == bad]
+            raise FormulaSyntaxError(
+                f"{bad!r} must start {' or '.join(map(repr, starts))}" if starts
+                else f"unexpected character {bad!r}", col, starts)
+        if symbol or name:
+            tokens.append((symbol or "var", symbol or name, col))
+    tokens.append(("eof", "", len(text) + 1))
     return tokens
 
 
@@ -189,8 +178,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # the syntax tree and the number of open groups, unary operators and
 # "->" on the parser's current path are held to it.
 MAX_NESTING = 64
-
-_PREFIX = {"~": Not, "<>": Diamond, "[]": Box}
 
 
 class _Parser:
@@ -203,155 +190,99 @@ class _Parser:
     def nest(self, level: int, tok: tuple[str, str, int]) -> int:
         if level > MAX_NESTING:
             raise FormulaSyntaxError(
-                f"formula nested more than {MAX_NESTING} levels deep", tok[2]
-            )
+                f"formula nested more than {MAX_NESTING} levels deep", tok[2])
         return level
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def deeper(self, tok, parse, *args) -> Formula:
+        """``parse(*args)`` inside one more open group, unary operator or "->"."""
+        self.open = self.nest(self.open + 1, tok)
+        node = parse(*args)
+        self.open -= 1
+        return node
+
+    def grow(self, tok, height: int) -> None:
+        """Take the height of a node over the formula parsed last and one of ``height``."""
+        self.height = self.nest(max(height, self.height) + 1, tok)
 
     def take(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise FormulaSyntaxError(
-                f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                tok[2], {kind},
-            )
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2], {kind})
         self.pos += 1
         return tok
 
-    def parse(self) -> Formula:
-        node = self.iff()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise FormulaSyntaxError(
-                f"unexpected trailing {tok[1]!r}", tok[2], {"eof"}
-            )
-        return node
-
-    def iff(self) -> Formula:
-        node = self.imp()
-        height = self.height
-        while self.peek()[0] == "<->":
-            tok = self.take("<->")
-            node = Iff(node, self.imp())
-            height = self.nest(max(height, self.height) + 1, tok)
-        self.height = height
-        return node
-
-    def imp(self) -> Formula:
-        node = self.disj()
-        if self.peek()[0] == "->":
-            tok = self.take("->")
+    def binary(self, level: int) -> Formula:
+        """A formula of ``_BINARY[level]`` or tighter-binding connectives."""
+        if level == len(_BINARY):
+            return self.unary()
+        symbol, cls = _BINARY[level]
+        node = self.binary(level + 1)
+        while self.tokens[self.pos][0] == symbol:
+            tok = self.take(symbol)
             height = self.height
-            self.open = self.nest(self.open + 1, tok)
-            node = Implies(node, self.imp())  # right associative
-            self.open -= 1
-            self.height = self.nest(max(height, self.height) + 1, tok)
-        return node
-
-    def disj(self) -> Formula:
-        node = self.conj()
-        height = self.height
-        while self.peek()[0] == "|":
-            tok = self.take("|")
-            node = Or(node, self.conj())
-            height = self.nest(max(height, self.height) + 1, tok)
-        self.height = height
-        return node
-
-    def conj(self) -> Formula:
-        node = self.unary()
-        height = self.height
-        while self.peek()[0] == "&":
-            tok = self.take("&")
-            node = And(node, self.unary())
-            height = self.nest(max(height, self.height) + 1, tok)
-        self.height = height
+            if symbol == _RIGHT:
+                node = cls(node, self.deeper(tok, self.binary, level))
+            else:
+                node = cls(node, self.binary(level + 1))
+            self.grow(tok, height)
         return node
 
     def unary(self) -> Formula:
-        kind = self.peek()[0]
-        if kind not in _PREFIX:
-            return self.atom()
-        tok = self.take(kind)
-        self.open = self.nest(self.open + 1, tok)
-        node = _PREFIX[kind](self.unary())
-        self.open -= 1
-        self.height = self.nest(self.height + 1, tok)
-        return node
-
-    def atom(self) -> Formula:
-        kind, text, col = self.peek()
-        self.height = 1
-        if kind == "var":
-            self.take("var")
-            return Var(text)
-        if kind == "1":
-            self.take("1")
-            return TOP
-        if kind == "0":
-            self.take("0")
-            return BOTTOM
-        if kind == "(":
-            tok = self.take("(")
-            self.open = self.nest(self.open + 1, tok)
-            node = self.iff()
-            self.take(")")
-            self.open -= 1
+        tok = kind, text, col = self.tokens[self.pos]
+        if kind in _PREFIX:
+            self.pos += 1
+            node = _PREFIX[kind](self.deeper(tok, self.unary))
+            self.grow(tok, 0)
             return node
-        raise FormulaSyntaxError(
-            f"expected a formula, found {text or 'end of input'!r}",
-            col, {"var", "1", "0", "(", "~", "<>", "[]"},
-        )
+        if kind == "(":
+            self.pos += 1
+            node = self.deeper(tok, self.binary, 0)
+            self.take(")")
+            return node
+        leaf = Var(text) if kind == "var" else _CONSTANTS.get(kind)
+        if leaf is None:
+            raise FormulaSyntaxError(
+                f"expected a formula, found {text or 'end of input'!r}", col,
+                {"var", "(", *_CONSTANTS, *_PREFIX})
+        self.pos += 1
+        self.height = 1
+        return leaf
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text into an AST; raise FormulaSyntaxError on bad input."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    node = parser.binary(0)
+    kind, rest, col = parser.tokens[parser.pos]
+    if kind != "eof":
+        raise FormulaSyntaxError(f"unexpected trailing {rest!r}", col, {"eof"})
+    return node
 
 
 # --- Printer ---
 
-# precedence levels; higher binds tighter
-_IFF, _IMP, _OR, _AND, _UNARY, _ATOM = range(1, 7)
-
 
 def _render(node: Formula, ctx: int) -> str:
+    """``node`` as text, parenthesized if it binds looser than ``ctx``."""
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Top):
-        return "1"
-    if isinstance(node, Bottom):
-        return "0"
-    if isinstance(node, Not):
-        return _wrap("~" + _render(node.child, _UNARY), _UNARY, ctx)
-    if isinstance(node, Diamond):
-        return _wrap("<>" + _render(node.child, _UNARY), _UNARY, ctx)
-    if isinstance(node, Box):
-        return _wrap("[]" + _render(node.child, _UNARY), _UNARY, ctx)
-    if isinstance(node, And):
-        s = _render(node.left, _AND) + " & " + _render(node.right, _AND + 1)
-        return _wrap(s, _AND, ctx)
-    if isinstance(node, Or):
-        s = _render(node.left, _OR) + " | " + _render(node.right, _OR + 1)
-        return _wrap(s, _OR, ctx)
-    if isinstance(node, Implies):
-        s = _render(node.left, _IMP + 1) + " -> " + _render(node.right, _IMP)
-        return _wrap(s, _IMP, ctx)
-    if isinstance(node, Iff):
-        s = _render(node.left, _IFF) + " <-> " + _render(node.right, _IFF + 1)
-        return _wrap(s, _IFF, ctx)
-    raise TypeError(f"not a formula node: {node!r}")
-
-
-def _wrap(s: str, level: int, ctx: int) -> str:
-    return "(" + s + ")" if level < ctx else s
+    if type(node) not in _SYNTAX:
+        raise TypeError(f"not a formula node: {node!r}")
+    symbol, level = _SYNTAX[type(node)]
+    children = _children(node)
+    if len(children) == 2:
+        right = symbol == _RIGHT
+        text = (_render(children[0], level + right) + f" {symbol} "
+                + _render(children[1], level + 1 - right))
+    else:  # a prefix operator or a constant
+        text = symbol + _render(children[0], level) if children else symbol
+    return "(" + text + ")" if level < ctx else text
 
 
 def print_formula(formula: Formula) -> str:
     """Render with minimal parentheses; parse(print(f)) == f."""
-    return _render(formula, _IFF)
+    return _render(formula, 0)
 
 
 # --- Axiom catalog ---
@@ -403,27 +334,9 @@ def _rename(node: Formula, mapping: dict[str, str], counter: list[int]) -> Formu
             mapping[node.name] = f"v{counter[0]}"
             counter[0] += 1
         return Var(mapping[node.name])
-    if isinstance(node, (Top, Bottom)):
-        return node
-    if isinstance(node, Not):
-        return Not(_rename(node.child, mapping, counter))
-    if isinstance(node, Diamond):
-        return Diamond(_rename(node.child, mapping, counter))
-    if isinstance(node, Box):
-        return Box(_rename(node.child, mapping, counter))
-    if isinstance(node, And):
-        return And(_rename(node.left, mapping, counter),
-                   _rename(node.right, mapping, counter))
-    if isinstance(node, Or):
-        return Or(_rename(node.left, mapping, counter),
-                  _rename(node.right, mapping, counter))
-    if isinstance(node, Implies):
-        return Implies(_rename(node.left, mapping, counter),
-                       _rename(node.right, mapping, counter))
-    if isinstance(node, Iff):
-        return Iff(_rename(node.left, mapping, counter),
-                   _rename(node.right, mapping, counter))
-    raise TypeError(f"not a formula node: {node!r}")
+    if type(node) not in _SYNTAX:
+        raise TypeError(f"not a formula node: {node!r}")
+    return type(node)(*[_rename(child, mapping, counter) for child in _children(node)])
 
 
 def meet_axiom(left: Formula, right: Formula) -> Formula:

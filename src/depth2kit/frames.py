@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .boolean import atom_indices, transpose
 from .errors import DomainError, PreconditionError, SizeError
@@ -449,12 +449,16 @@ def _labelling(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]
         colour, cells = [rank[s] for s in signatures], len(rank)
     blocks = [[x for x in range(n) if colour[x] == c] for c in range(cells)]
 
-    def relabeled(orders):
-        order = [x for block in orders for x in block]
+    def orders(i):  # lazily, where product() would first hold every permutation
+        if i == cells:
+            return [()]
+        return (head + rest for head in permutations(blocks[i]) for rest in orders(i + 1))
+
+    def relabeled(order):
         perm = tuple(map(order.index, range(n)))
         return _apply_permutation(rows, perm), perm
 
-    return min(map(relabeled, product(*map(permutations, blocks))))
+    return min(map(relabeled, orders(0)))
 
 
 def canonical_form(frame: Frame) -> Frame:

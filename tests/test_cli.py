@@ -58,6 +58,15 @@ def test_frame_check_unknown_condition(f2_file, capsys):
     assert main(["frame", "check", f2_file, "--condition", "bogus"]) == 2
 
 
+def test_frame_check_empty_condition(f2_file, capsys):
+    # an empty condition is a condition, not a missing one
+    assert main(["frame", "check", f2_file, "--condition", ""]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown frame condition ''; known: ")
+    assert captured.out == ""
+
+
 def test_frame_classify(f2_file, capsys):
     assert main(["frame", "classify", f2_file]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -347,6 +348,20 @@ def test_canonical_form_is_invariant_under_relabeling():
             rng.shuffle(perm)
             assert canonical_form(Frame(frame.n_worlds, ref_relabel(frame.rows, perm))) \
                 == form, (frame, perm)
+
+
+def test_canonical_form_streams_the_relabelings():
+    # one colour cell of 7 worlds has 5,040 orders, tried one at a time;
+    # the first call fills the interpreter's free lists outside the trace
+    identity7 = Frame(7, tuple(1 << x for x in range(7)))
+    canonical_form(identity7)
+    tracemalloc.start()
+    try:
+        canonical_form(identity7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_enumeration_against_oracle():
