@@ -9,12 +9,11 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, Record, SizeError
 
 # Hard cap so that full-carrier enumeration (2**n elements) stays bounded.
 MAX_ATOMS = 20
@@ -41,8 +40,7 @@ def transpose(rows) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiniteBA:
+class FiniteBA(Record):
     """The powerset algebra on ``n_atoms`` indexed atoms."""
 
     n_atoms: int
@@ -115,8 +113,7 @@ def powerset_algebra(n_atoms: int) -> FiniteBA:
     return FiniteBA(n_atoms)
 
 
-@dataclass(frozen=True)
-class SubsetClass:
+class SubsetClass(Record):
     """Classification flags for a subset of a finite Boolean algebra."""
 
     is_ideal: bool

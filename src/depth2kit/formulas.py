@@ -22,88 +22,71 @@ evaluator treats the two as equal, so axioms print exactly as catalogued.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, Record
 
 
-class Formula:
-    """Base class for formula AST nodes.  A node keeps its structural hash
-    once computed; pickles and copies leave it out, as string hashes
-    differ from process to process."""
+class Formula(Record):
+    """Base class for formula AST nodes, immutable ``Record``s.  A node
+    keeps its structural hash in a slot once computed; pickles and copies
+    leave it out, as string hashes differ from process to process."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __str__(self) -> str:
         return print_formula(self)
 
     def __hash__(self) -> int:
-        state = self.__dict__
-        if "_hash" not in state:
-            object.__setattr__(self, "_hash", hash((type(self), *state.values())))
-        return state["_hash"]
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((type(self), *self.__dict__.values())))
+            return self._hash
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return self.__dict__
 
 
-def _node(cls):
-    """A frozen dataclass node that keeps the cached ``Formula.__hash__``."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
-
-
-@_node
 class Var(Formula):
     name: str
 
 
-@_node
 class Top(Formula):
     pass
 
 
-@_node
 class Bottom(Formula):
     pass
 
 
-@_node
 class Not(Formula):
     child: Formula
 
 
-@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Diamond(Formula):
     child: Formula
 
 
-@_node
 class Box(Formula):
     child: Formula
 
@@ -130,8 +113,10 @@ _SYNTAX = {  # node class -> (symbol, precedence level)
 
 def _children(node) -> list:
     """A node's fields in order: its subformulas, or a Var's name; nothing
-    for constants and for values that are not nodes."""
-    return [getattr(node, name) for name in getattr(type(node), "__match_args__", ())]
+    for constants.  A value that is not a node is refused."""
+    if type(node) not in _SYNTAX and not isinstance(node, Var):
+        raise TypeError(f"not a formula node: {node!r}")
+    return [getattr(node, name) for name in type(node).__match_args__]
 
 
 def variables(formula: Formula) -> frozenset[str]:
@@ -142,8 +127,8 @@ def variables(formula: Formula) -> frozenset[str]:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        else:
-            stack.extend(_children(node))
+        else:  # leftmost first, so a bad node is met where print_formula meets it
+            stack.extend(reversed(_children(node)))
     return frozenset(out)
 
 
@@ -267,10 +252,8 @@ def _render(node: Formula, ctx: int) -> str:
     """``node`` as text, parenthesized if it binds looser than ``ctx``."""
     if isinstance(node, Var):
         return node.name
-    if type(node) not in _SYNTAX:
-        raise TypeError(f"not a formula node: {node!r}")
-    symbol, level = _SYNTAX[type(node)]
     children = _children(node)
+    symbol, level = _SYNTAX[type(node)]
     if len(children) == 2:
         right = symbol == _RIGHT
         text = (_render(children[0], level + right) + f" {symbol} "
@@ -334,8 +317,6 @@ def _rename(node: Formula, mapping: dict[str, str], counter: list[int]) -> Formu
             mapping[node.name] = f"v{counter[0]}"
             counter[0] += 1
         return Var(mapping[node.name])
-    if type(node) not in _SYNTAX:
-        raise TypeError(f"not a formula node: {node!r}")
     return type(node)(*[_rename(child, mapping, counter) for child in _children(node)])
 
 
@@ -355,8 +336,7 @@ def meet_axiom(left: Formula, right: Formula) -> Formula:
 # --- Inference rules ---
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """An inference rule: premises over a conclusion."""
 
     premises: tuple[Formula, ...]

@@ -13,12 +13,11 @@ quasiorder enumerator and ``duality.algebras_isomorphic``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from .boolean import atom_indices, transpose
-from .errors import DomainError, PreconditionError, SizeError
+from .errors import DomainError, PreconditionError, Record, SizeError
 
 MAX_WORLDS = 12
 MAX_CANONICAL_WORLDS = 7
@@ -28,8 +27,7 @@ MAX_ENUM_GENERAL = 4
 EXTREMAL_KINDS = ("ii", "iu", "ui", "uu")
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """Worlds 0..n_worlds-1 with relation bit-rows (successor masks)."""
 
     n_worlds: int
@@ -114,8 +112,7 @@ def _cluster_masks(frame: Frame) -> list[int]:
     return clusters
 
 
-@dataclass(frozen=True)
-class ClusterPoset:
+class ClusterPoset(Record):
     """Partition of a quasiorder into clusters plus their partial order.
 
     ``leq[i]`` is the bitmask of cluster indices above cluster i

@@ -17,7 +17,6 @@ lower/upper level is the identity or the universal relation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .boolean import FiniteBA, MAX_ATOMS, atom_indices, subset_class
@@ -25,6 +24,7 @@ from .errors import (
     DomainError,
     NoClosureError,
     PreconditionError,
+    Record,
     SizeError,
     TrivialityError,
 )
@@ -34,8 +34,7 @@ MAX_EMBED_ATOMS = 4
 MAX_KN = 6
 
 
-@dataclass(frozen=True)
-class ModalOperator:
+class ModalOperator(Record):
     """A normal additive operator, stored by its values on atoms."""
 
     atom_values: tuple[int, ...]
@@ -70,8 +69,7 @@ class ModalOperator:
         return tuple(self(x) for x in range(1 << self.n_atoms))
 
 
-@dataclass(frozen=True)
-class DualOperator:
+class DualOperator(Record):
     """The dual x -> -f(-x) of a stored operator.
 
     The dual of an additive operator is multiplicative, not additive,
@@ -96,8 +94,7 @@ class DualOperator:
         return tuple(self(x) for x in range(1 << self.n_atoms))
 
 
-@dataclass(frozen=True)
-class ModalAlgebra:
+class ModalAlgebra(Record):
     """A finite Boolean algebra together with a modal operator."""
 
     base: FiniteBA
@@ -163,8 +160,7 @@ def unary_discriminator(ba: FiniteBA) -> ModalOperator:
     return ModalOperator((ba.top,) * ba.n_atoms)
 
 
-@dataclass(frozen=True)
-class OperatorProperties:
+class OperatorProperties(Record):
     normal: bool
     additive: bool
     closure: bool
@@ -267,8 +263,7 @@ class AlgebraClass(enum.Enum):
     IDENTITY = "IDENTITY"
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(Record):
     kind: AlgebraClass
     param: int | None = None
 
@@ -341,8 +336,7 @@ class IrreducibilityKind(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(Record):
     kind: IrreducibilityKind
     witness: int | None
 
@@ -444,8 +438,7 @@ def quotient(algebra: ModalAlgebra, c: int) -> ModalAlgebra:
     return ModalAlgebra(FiniteBA(len(atoms)), ModalOperator(values))
 
 
-@dataclass(frozen=True)
-class Subalgebra:
+class Subalgebra(Record):
     """A subuniverse, its atom blocks, and its re-indexed algebra."""
 
     blocks: tuple[int, ...]          # disjoint masks joining to top

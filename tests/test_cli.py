@@ -394,3 +394,41 @@ def test_commands_import_only_what_they_run(code, loaded, f2_file):
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout.splitlines()[-1])) == loaded
+
+
+_SHOW_HEAVY = """
+import contextlib, io, json, sys
+import depth2kit.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    depth2kit.cli.main({argv!r})
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["parse", "p -> <>p"],
+    ["meet-axiom", "p", "q"],
+    ["enum", "--worlds", "3"],
+    ["enum", "--worlds", "3", "--quasiorder", "--format", "json"],
+    ["frame", "check", "FRAME", "--condition", "reflexive"],
+    ["frame", "check", "FRAME", "--axiom", "T"],
+    ["frame", "classify", "FRAME"],
+    ["eval", "--frame", "FRAME", "--formula", "<>p", "--valuation", '{"p": [0]}'],
+    ["alg", "classify", "ALGEBRA"],
+    ["dual", "cm", "FRAME"],
+    ["dual", "ult", "ALGEBRA"],
+], ids=["help", "parse", "meet_axiom", "enum", "enum_quasiorder", "condition", "axiom",
+        "classify", "eval", "alg_classify", "dual_cm", "dual_ult"])
+def test_commands_do_not_load_dataclasses(argv, f2_file, chain_alg_file):
+    # the value classes are Records: importing dataclasses (and with it
+    # inspect) costs every command about 10 ms; only verify loads it
+    files = {"FRAME": f2_file, "ALGEBRA": chain_alg_file}
+    script = _SHOW_HEAVY.format(argv=[files.get(a, a) for a in argv])
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

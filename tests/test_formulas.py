@@ -525,6 +525,19 @@ def test_non_formula_leaves_match_reference():
     for leaf in leaves:
         for formula in (Not(leaf), Box(Diamond(leaf)), And(Var("p"), leaf),
                         Implies(leaf, Var("q")), Iff(Top(), Or(leaf, Bottom()))):
-            _assert_same_walks(formula)
+            # variables refuses a non-formula child as the printer does,
+            # where ref_variables skipped it
+            assert _outcome(print_formula, formula) == _outcome(ref_render, formula, 1)
+            assert _outcome(variables, formula) == _outcome(ref_render, formula, 1)
+            assert (_outcome(meet_axiom, formula, formula)
+                    == _outcome(ref_meet_axiom, formula, formula))
             assert (_outcome(meet_axiom, Var("p"), formula)
                     == _outcome(ref_meet_axiom, Var("p"), formula))
+
+
+def test_variables_reports_the_leftmost_non_formula_child():
+    # with two bad children, variables names the one the printer meets first
+    for formula in (And(Not("x"), Or(Var("p"), 5)), Implies(Box(None), Iff("y", Top())),
+                    Or(Or(Var("q"), Diamond(Not)), "z")):
+        assert _outcome(variables, formula) == _outcome(print_formula, formula)
+        assert _outcome(variables, formula)[0] == "error"
