@@ -135,12 +135,13 @@ def _cmd_alg_classify(args) -> int:
     from .operators import (algebra_from_dict, classify_algebra, irreducibility,
                             operator_properties)
     algebra = algebra_from_dict(_load_json(args.file))
+    # first, so an algebra over the size bound is refused before any output
+    labels = sorted(str(label) for label in classify_algebra(algebra))
     props = operator_properties(algebra)
     closed = sorted(algebra.closed_elements())
     print(f"atoms: {algebra.n_atoms}")
     print(f"closure: {props.closure}  interior: {props.interior}")
     print(f"closed elements: {closed}")
-    labels = sorted(str(label) for label in classify_algebra(algebra))
     print("classes: " + (", ".join(labels) if labels else "none"))
     if props.closure:
         verdict = irreducibility(algebra)

@@ -32,6 +32,7 @@ from .errors import (
 MAX_SUBALGEBRA_ATOMS = 4
 MAX_EMBED_ATOMS = 4
 MAX_KN = 6
+MAX_CLASSIFY_ATOMS = 12  # the filter test is about 3**n work: 3 s at 13 atoms
 
 
 class ModalOperator(Record):
@@ -287,6 +288,9 @@ def classify_algebra(algebra: ModalAlgebra) -> frozenset[ClassLabel]:
       MMA  closed = {0, a, top} with a nonzero (a = top: discriminator)
       GMA  closed = everything below b or above b
     """
+    if algebra.n_atoms > MAX_CLASSIFY_ATOMS:
+        raise SizeError(f"classification is bounded at {MAX_CLASSIFY_ATOMS} atoms, "
+                        f"got {algebra.n_atoms}")
     if not operator_properties(algebra).closure:
         return frozenset()
     ba = algebra.base

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Callable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 from .boolean import MAX_ATOMS, FiniteBA
 from .duality import algebras_isomorphic, canonical_frame, complex_algebra
-from .errors import BudgetError, DomainError, SizeError
+from .errors import BudgetError, DomainError, Record, SizeError
 from .formulas import axiom, meet_axiom, rule_p2
 from .frames import (
     MAX_ENUM_GENERAL,
@@ -58,8 +58,7 @@ from .semantics import (
 Check = tuple[str, str, str, bool]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Structured outcome of one suite run."""
 
     suite: str
@@ -451,15 +450,14 @@ def _relations(p) -> int:
     return sum(1 << n * n for n in range(1, min(p["worlds"], MAX_WORLDS) + 1))
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(Record):
     name: str
     law: str
-    defaults: dict[str, int] = field(hash=False)
-    generate: Callable[[dict], Iterator[Check]] = field(hash=False)
-    minimum: dict[str, int] = field(default_factory=dict, hash=False)
-    maximum: dict[str, int] = field(default_factory=dict, hash=False)
-    cost: Callable[[dict], int] | None = field(default=None, hash=False)
+    defaults: dict[str, int]
+    generate: Callable[[dict], Iterator[Check]]
+    minimum: Mapping[str, int] = MappingProxyType({})  # read-only, so sharable
+    maximum: Mapping[str, int] = MappingProxyType({})
+    cost: Callable[[dict], int] | None = None
 
 
 SUITES: dict[str, Suite] = {

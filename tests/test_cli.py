@@ -179,6 +179,28 @@ def test_size_error_exit_code(tmp_path, capsys):
     assert main(["frame", "classify", str(path)]) == 3
 
 
+def _identity_algebra_file(tmp_path, atoms):
+    path = tmp_path / f"identity{atoms}.json"
+    path.write_text(json.dumps({"atoms": atoms, "f_on_atoms": [1 << i for i in range(atoms)]}))
+    return str(path)
+
+
+def test_alg_classify_at_its_bound(tmp_path, capsys):
+    # the identity algebra has every element closed: the costliest shape test
+    assert main(["alg", "classify", _identity_algebra_file(tmp_path, 12)]) == 0
+    assert capsys.readouterr().out == (
+        "atoms: 12\nclosure: True  interior: True\n"
+        f"closed elements: {list(range(4096))}\n"
+        "classes: FMA(0), GMA(0), IDENTITY, IMA(4095)\nirreducibility: neither\n")
+
+
+def test_alg_classify_refuses_more_than_12_atoms(tmp_path, capsys):
+    assert main(["alg", "classify", _identity_algebra_file(tmp_path, 13)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: classification is bounded at 12 atoms, got 13\n"
+
+
 _MALFORMED_FRAMES = {
     "float_edge": '{"worlds": 2, "edges": [[0.5, 1]]}',
     "bool_worlds": '{"worlds": true, "edges": [[0, 0]]}',
@@ -418,11 +440,12 @@ print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.module
     ["alg", "classify", "ALGEBRA"],
     ["dual", "cm", "FRAME"],
     ["dual", "ult", "ALGEBRA"],
+    ["verify", "--suite", "meets"],
 ], ids=["help", "parse", "meet_axiom", "enum", "enum_quasiorder", "condition", "axiom",
-        "classify", "eval", "alg_classify", "dual_cm", "dual_ult"])
+        "classify", "eval", "alg_classify", "dual_cm", "dual_ult", "verify"])
 def test_commands_do_not_load_dataclasses(argv, f2_file, chain_alg_file):
     # the value classes are Records: importing dataclasses (and with it
-    # inspect) costs every command about 10 ms; only verify loads it
+    # inspect) would cost every command about 10 ms
     files = {"FRAME": f2_file, "ALGEBRA": chain_alg_file}
     script = _SHOW_HEAVY.format(argv=[files.get(a, a) for a in argv])
     src = str(Path(cli.__file__).resolve().parent.parent)

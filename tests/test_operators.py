@@ -184,6 +184,14 @@ def test_classify_non_closure_empty():
     assert classify_algebra(alg(B2, ModalOperator((0, 2)))) == frozenset()
 
 
+def test_classify_refuses_more_than_12_atoms_before_any_work():
+    # the shape tests cost about 3**n: 20 atoms would take hours
+    for n in (13, 20):
+        ba = FiniteBA(n)
+        with pytest.raises(SizeError, match="bounded at 12 atoms"):
+            classify_algebra(ModalAlgebra(ba, identity_operator(ba)))
+
+
 def test_classifier_matches_constructor():
     wanted = {
         "iu": AlgebraClass.IMA,

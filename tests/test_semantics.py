@@ -213,7 +213,7 @@ def _assignments(formulas, space):
 def ref_frame_validates(frame, formula):
     top = (1 << frame.n_worlds) - 1
     for valuation in _assignments([formula], top + 1):
-        if eval_in_model(frame, valuation, formula) != top:
+        if ref_eval_in_model(frame, valuation, formula) != top:
             return False, valuation
     return True, None
 
@@ -354,6 +354,20 @@ def test_closed_formulas_match_reference():
             ref_premises_active(algebra, [formula]), text
 
 
+@pytest.mark.parametrize("formula", [Not("1"), And(Var("p"), "p"), Box("^")],
+                         ids=["not_one", "and_p", "box_xor"])
+def test_searches_refuse_string_leaves(formula):
+    # a string is not a formula, even when it spells a connective or a variable
+    frame = make_frame(2, [(0, 1)])
+    algebra = complex_algebra(frame)
+    for search in (lambda: frame_validates(frame, formula),
+                   lambda: algebra_validates(algebra, formula),
+                   lambda: quasiidentity_holds(algebra, [formula], Top()),
+                   lambda: premises_active(algebra, [formula])):
+        with pytest.raises(TypeError, match="not a formula node"):
+            search()
+
+
 def test_values_out_of_domain_are_refused():
     ba = FiniteBA(2)
     algebra = ModalAlgebra(ba, ModalOperator((1, 3)))
@@ -368,7 +382,8 @@ def test_values_out_of_domain_are_refused():
 
 
 # --- Reference: the walker that dispatched on node types at every step,
-# kept here as the oracle for the compiled ``eval_in_model``.
+# kept here as the oracle for ``eval_in_model``, ``eval_in_algebra`` and,
+# through ``ref_frame_validates``, ``frame_validates``.
 
 
 def ref_eval_in_model(frame, valuation, formula):
@@ -450,5 +465,7 @@ def test_random_walks_match_reference(formula, n, data):
     frame = make_frame(n, edges)
     valuation = data.draw(st.dictionaries(
         st.sampled_from(["p", "q", "r"]), st.integers(0, (1 << n) - 1)))
-    assert _outcome(eval_in_model, frame, valuation, formula) == \
-        _outcome(ref_eval_in_model, frame, valuation, formula)
+    expected = _outcome(ref_eval_in_model, frame, valuation, formula)
+    assert _outcome(eval_in_model, frame, valuation, formula) == expected
+    # the complex algebra: the same values, and the same first error in walk order
+    assert _outcome(eval_in_algebra, complex_algebra(frame), valuation, formula) == expected

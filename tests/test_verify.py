@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -9,7 +8,7 @@ from depth2kit.errors import BudgetError, DomainError, SizeError
 from depth2kit.frames import MAX_ENUM_GENERAL, MAX_ENUM_QUASIORDER
 from depth2kit.operators import MAX_EMBED_ATOMS, MAX_SUBALGEBRA_ATOMS
 from depth2kit.verify import (
-    MAX_SUITE_INSTANCES, SUITE_NAMES, SUITES, run_all, run_suite,
+    MAX_SUITE_INSTANCES, SUITE_NAMES, SUITES, Suite, run_all, run_suite,
 )
 
 # small bounds keep this module quick; the acceptance tests run the
@@ -109,7 +108,7 @@ def entered(monkeypatch):
         return generate
 
     for name, suite in SUITES.items():
-        monkeypatch.setitem(SUITES, name, replace(suite, generate=recording(name)))
+        monkeypatch.setitem(SUITES, name, Suite(**{**vars(suite), "generate": recording(name)}))
     return names
 
 
