@@ -497,13 +497,20 @@ def _quasiorders_up_to_iso(n: int) -> tuple[Frame, ...]:
 
 
 def _all_frames_up_to_iso(n: int) -> list[Frame]:
-    # walk relation masks in ascending order; the first member of each
-    # permutation orbit is taken as representative and its orbit marked
-    perms = list(permutations(range(n)))
-    bit_maps = []
-    for p in perms:
-        bit_maps.append([p[x] * n + p[y] for x in range(n) for y in range(n)])
-    total = 1 << (n * n)
+    # walk relation masks (bit x*n + y: edge x -> y) in ascending order, keep
+    # the first of each permutation orbit and mark the orbit: an image is one
+    # lookup per mask byte, each table entry an earlier one plus its lowest bit
+    bits, total = n * n, 1 << (n * n)
+    tables = []
+    for p in permutations(range(n)):
+        targets = [1 << (p[x] * n + p[y]) for x in range(n) for y in range(n)]
+        per_byte = []
+        for start in range(0, bits, 8):
+            table, part = [0], targets[start:start + 8]
+            for v in range(1, 1 << len(part)):
+                table.append(table[v & (v - 1)] | part[(v & -v).bit_length() - 1])
+            per_byte.append((start, table))
+        tables.append(per_byte)
     visited = bytearray(total)
     out = []
     for m in range(total):
@@ -511,13 +518,10 @@ def _all_frames_up_to_iso(n: int) -> list[Frame]:
             continue
         rows = tuple((m >> (x * n)) & ((1 << n) - 1) for x in range(n))
         out.append(Frame(n, rows))
-        for bm in bit_maps:
+        for per_byte in tables:
             image = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                image |= 1 << bm[low.bit_length() - 1]
-                rest ^= low
+            for start, table in per_byte:
+                image |= table[m >> start & 255]
             visited[image] = 1
     return out
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from itertools import product as iter_product
 
-from .boolean import FiniteBA, MAX_ATOMS, atom_indices, subset_class
+from .boolean import FiniteBA, MAX_ATOMS, atom_indices
 from .errors import (
     DomainError,
     NoClosureError,
@@ -32,7 +32,7 @@ from .errors import (
 MAX_SUBALGEBRA_ATOMS = 4
 MAX_EMBED_ATOMS = 4
 MAX_KN = 6
-MAX_CLASSIFY_ATOMS = 12  # the filter test is about 3**n work: 3 s at 13 atoms
+MAX_CLASSIFY_ATOMS = 12  # the GMA loop is about 3**n work in the worst case
 
 
 class ModalOperator(Record):
@@ -310,10 +310,12 @@ def classify_algebra(algebra: ModalAlgebra) -> frozenset[ClassLabel]:
         labels.add(ClassLabel(AlgebraClass.IMA, generator))
 
     filter_part = closed - {0}
-    if filter_part != {ba.top} and subset_class(ba, filter_part).is_filter:
-        least = ba.top
-        for x in filter_part:
-            least &= x
+    least = ba.top
+    for x in filter_part:
+        least &= x
+    # a finite filter is principal: exactly the up-set of its meet
+    upset_size = 1 << (ba.n_atoms - least.bit_count())
+    if filter_part != {ba.top} and len(filter_part) == upset_size:
         labels.add(ClassLabel(AlgebraClass.FMA_PROPER, least))
     elif len(closed) == ba.size:
         # every element closed: the filter is the whole algebra

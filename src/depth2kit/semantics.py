@@ -81,7 +81,12 @@ def _build(node):
 
 
 _term = lru_cache(maxsize=1024)(_build)  # built once per formula
-_variables = lru_cache(maxsize=1024)(variables)
+
+
+@lru_cache(maxsize=1024)
+def _plan(formulas: tuple) -> tuple[list, list]:
+    """Sorted variable names and term closures of (premises..., conclusion)."""
+    return sorted(set().union(*map(variables, formulas))), [_term(f) for f in formulas]
 
 
 def eval_in_model(frame: Frame, valuation: Mapping[str, int],
@@ -134,14 +139,12 @@ def _refutation(rows: list, premises: tuple, conclusion: Formula, budget):
     """First valuation (name -> world mask), in lexicographic order, under
     which every premise holds at every world and the conclusion fails at
     some; None if there is none.  ``rows[x]`` lists the successors of x."""
-    formulas = (*premises, conclusion)
-    names = sorted(set().union(*map(_variables, formulas)))
-    terms = [_term(f) for f in formulas]
+    names, terms = _plan((*premises, conclusion))
     n, k = len(rows), len(names)
     limit = DEFAULT_BUDGET if budget is None else budget
     if type(limit) is not int or limit < 1:  # bools are ints; refuse them
         raise DomainError(f"budget must be an integer >= 1, got {limit!r}")
-    if (1 << n) ** max(k, 1) > limit:
+    if (1 << n) ** k > limit:
         raise BudgetError(f"{1 << n}**{k} exceeds the evaluation budget {limit}; "
                           "raise the budget explicitly to proceed")
     width = min(n * k, _CHUNK_BITS)
@@ -149,7 +152,13 @@ def _refutation(rows: list, premises: tuple, conclusion: Formula, budget):
     top = _Lanes([ones] * n)
 
     def diamond(lanes):  # a world's lane: the OR of its successors' lanes
-        return _Lanes([reduce(or_, map(lanes.__getitem__, r), 0) for r in rows])
+        out = []
+        for r in rows:
+            lane = 0
+            for y in r:
+                lane |= lanes[y]
+            out.append(lane)
+        return _Lanes(out)
     for chunk in range(1 << (n * k - width)):
         # index bit (k-1-j)*n + w: world w is in names[j]; bits >= width: chunk
         env = {name: _Lanes([inner[b] if b < width else ones * (chunk >> b - width & 1)

@@ -373,17 +373,48 @@ def test_enumeration_against_oracle():
         assert {edge_canon(f) for f in frames} == oracle
 
 
+# Reference for the general enumerator: the earlier version, which marks
+# each orbit by relabeling a mask one bit at a time.
+
+
+def ref_all_frames_up_to_iso(n):
+    perms = list(permutations(range(n)))
+    bit_maps = []
+    for p in perms:
+        bit_maps.append([p[x] * n + p[y] for x in range(n) for y in range(n)])
+    total = 1 << (n * n)
+    visited = bytearray(total)
+    out = []
+    for m in range(total):
+        if visited[m]:
+            continue
+        rows = tuple((m >> (x * n)) & ((1 << n) - 1) for x in range(n))
+        out.append(Frame(n, rows))
+        for bm in bit_maps:
+            image = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                image |= 1 << bm[low.bit_length() - 1]
+                rest ^= low
+            visited[image] = 1
+    return out
+
+
 def test_enumeration_counts():
     assert [len(enumerate_frames(n, quasiorder=True)) for n in range(1, 7)] == [
         1, 3, 9, 33, 139, 718]
     assert len(enumerate_frames(3, quasiorder=True, max_depth=2)) == 8
     assert [len(enumerate_frames(n)) for n in range(1, 4)] == [2, 10, 104]
+    assert len(enumerate_frames(4)) == 3044  # OEIS A000595
 
 
 def test_enumeration_matches_reference():
     # same classes, same representatives, same order
     for n in range(1, 6):
         assert enumerate_frames(n, quasiorder=True) == ref_quasiorders_up_to_iso(n)
+    for n in range(1, 5):
+        assert enumerate_frames(n) == ref_all_frames_up_to_iso(n)
 
 
 def test_enumeration_returns_a_fresh_list():

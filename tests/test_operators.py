@@ -2,7 +2,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from depth2kit.boolean import FiniteBA
+from depth2kit.boolean import FiniteBA, subset_class
 from depth2kit.duality import canonical_frame
 from depth2kit.errors import (
     DomainError,
@@ -185,7 +185,7 @@ def test_classify_non_closure_empty():
 
 
 def test_classify_refuses_more_than_12_atoms_before_any_work():
-    # the shape tests cost about 3**n: 20 atoms would take hours
+    # the GMA loop costs about 3**n: 20 atoms would take hours
     for n in (13, 20):
         ba = FiniteBA(n)
         with pytest.raises(SizeError, match="bounded at 12 atoms"):
@@ -212,6 +212,56 @@ def test_classifier_matches_constructor():
                     assert found & {AlgebraClass.FMA, AlgebraClass.FMA_PROPER}
                 else:
                     assert klass in found, (kind, n, a)
+
+
+# Reference for classify_algebra's FMA test: the earlier version, which
+# asked subset_class whether the nonzero closed elements form a filter
+# instead of counting the up-set of their meet.
+
+
+def ref_classify_labels(algebra):
+    if not operator_properties(algebra).closure:
+        return set()
+    ba, closed, labels = algebra.base, algebra.closed_elements(), set()
+    if algebra.op == identity_operator(ba):
+        labels.add((AlgebraClass.IDENTITY, None))
+    if algebra.op == unary_discriminator(ba):
+        labels.add((AlgebraClass.DMA, None))
+    generator = 0
+    for x in closed - {ba.top}:
+        generator |= x
+    if closed == ba.downset(generator) | {ba.top}:
+        labels.add((AlgebraClass.IMA, generator))
+    filter_part = closed - {0}
+    if filter_part != {ba.top} and subset_class(ba, filter_part).is_filter:
+        least = ba.top
+        for x in filter_part:
+            least &= x
+        labels.add((AlgebraClass.FMA_PROPER, least))
+    elif len(closed) == ba.size:
+        labels.add((AlgebraClass.FMA, 0))
+    if closed == {0, ba.top}:
+        labels.add((AlgebraClass.MMA, ba.top))
+    elif len(closed) == 3:
+        labels.add((AlgebraClass.MMA, min(closed - {0, ba.top})))
+    for b in sorted(closed):
+        if closed == ba.downset(b) | ba.upset(b):
+            labels.add((AlgebraClass.GMA, b))
+            break
+    return labels
+
+
+def test_classify_matches_reference():
+    algebras = list(all_closure_algebras(3))
+    for n in range(1, 7):
+        ba = FiniteBA(n)
+        for kind in ("ii", "iu", "ui", "uu"):
+            algebras += [alg(ba, extremal_operator(kind, ba, a))
+                         for a in ba.elements() if kind != "uu" or a]
+    # 1 + 4 + 29 labeled quasiorders (OEIS A000798), 4 * 2**n - 1 members per n
+    assert len(algebras) == 34 + sum(4 * 2**n - 1 for n in range(1, 7))
+    for algebra in algebras:
+        assert labels_of(algebra) == ref_classify_labels(algebra), algebra
 
 
 def test_irreducibility():

@@ -146,6 +146,11 @@ def test_budget_guard():
         frame_validates(frame, wide)
     with pytest.raises(BudgetError):
         frame_validates(frame, parse_formula("p"), budget=2)
+    with pytest.raises(BudgetError, match=r"4\*\*1 exceeds the evaluation budget 3"):
+        frame_validates(frame, parse_formula("p"), budget=3)
+    # (2**n)**k with k = 0: a closed formula costs one valuation
+    assert frame_validates(make_frame(12, []), parse_formula("<>1 -> 1"),
+                           budget=100) == (True, None)
     # explicit budget increases are honored
     assert frame_validates(frame, parse_formula("p | ~p"), budget=16)[0]
 
