@@ -7,7 +7,7 @@ each submodule, such as ``depth2kit.frames``) is imported on first use.
 from importlib import import_module
 
 _EXPORTS = {
-    "boolean": ("FiniteBA", "SubsetClass", "powerset_algebra", "subset_class"),
+    "boolean": ("FiniteBA",),
     "duality": ("algebras_isomorphic", "canonical_frame", "complex_algebra"),
     "errors": (
         "BindingError", "BudgetError", "Depth2Error", "DomainError",

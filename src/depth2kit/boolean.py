@@ -10,8 +10,6 @@ arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable
 
 from .errors import DomainError, Record, SizeError
 
@@ -107,40 +105,3 @@ class FiniteBA(Record):
                 return frozenset(out)
             sup = (sup + 1) | x
 
-
-def powerset_algebra(n_atoms: int) -> FiniteBA:
-    """Build the finite Boolean algebra with ``2**n_atoms`` elements."""
-    return FiniteBA(n_atoms)
-
-
-class SubsetClass(Record):
-    """Classification flags for a subset of a finite Boolean algebra."""
-
-    is_ideal: bool
-    is_filter: bool
-    is_bounded_sublattice: bool
-
-
-def subset_class(ba: FiniteBA, members: Iterable[int]) -> SubsetClass:
-    """Classify a subset as ideal / filter / bounded sublattice.
-
-    An ideal is nonempty, downward closed and join closed; a filter is
-    the order dual; a bounded sublattice contains 0 and top and is
-    closed under meet and join.  The empty set gets all flags false.
-    """
-    subset = frozenset(ba.check(x) for x in members)
-    if not subset:
-        return SubsetClass(False, False, False)
-
-    down_closed = all(ba.downset(x) <= subset for x in subset)
-    up_closed = all(ba.upset(x) <= subset for x in subset)
-    join_closed = all(x | y in subset for x, y in combinations(subset, 2))
-    meet_closed = all(x & y in subset for x, y in combinations(subset, 2))
-
-    return SubsetClass(
-        is_ideal=down_closed and join_closed,
-        is_filter=up_closed and meet_closed,
-        is_bounded_sublattice=(
-            0 in subset and ba.top in subset and join_closed and meet_closed
-        ),
-    )

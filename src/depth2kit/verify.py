@@ -48,12 +48,7 @@ from .operators import (
     quotient,
     subalgebras,
 )
-from .semantics import (
-    eval_in_model,
-    frame_validates,
-    premises_active,
-    quasiidentity_holds,
-)
+from .semantics import frame_validates, premises_active, quasiidentity_holds
 
 Check = tuple[str, str, str, bool]
 
@@ -399,6 +394,15 @@ def _suite_kn_embedding(p) -> Iterator[Check]:
                    not found)
 
 
+def _splits_every_row(rows) -> bool:
+    """Whether some world set P has every world see a world in P and one
+    outside it: where p is P, that is when <>p & <>~p holds at every
+    world, decided without evaluating a formula."""
+    top = (1 << len(rows)) - 1
+    return any(all(row & mask and row & (top ^ mask) for row in rows)
+               for mask in range(top + 1))
+
+
 def _suite_p2_quasiidentity(p) -> Iterator[Check]:
     rule = rule_p2()
     premises = rule.premises
@@ -422,15 +426,9 @@ def _suite_p2_quasiidentity(p) -> Iterator[Check]:
         yield (f"simple algebra atoms={n}", "fails with witness",
                f"holds={holds} witness={witness}", confirmed)
 
-    premise = premises[0]
     for algebra in _algebras_with_all_tables(p["atoms"], closure_only=False):
         active, _ = premises_active(algebra, premises)
-        frame = canonical_frame(algebra)
-        top = (1 << frame.n_worlds) - 1
-        oracle = any(
-            eval_in_model(frame, {"p": mask}, premise) == top
-            for mask in range(1 << frame.n_worlds)
-        )
+        oracle = _splits_every_row(canonical_frame(algebra).rows)
         yield (
             f"activeness atoms={algebra.n_atoms} f={algebra.op.atom_values}",
             f"oracle {oracle}", f"active {active}", active == oracle,
@@ -554,7 +552,8 @@ SUITES: dict[str, Suite] = {
             "p2_quasiidentity",
             "the passive-rule quasiidentity holds vacuously on the "
             "two-element algebra, fails on larger simple algebras, and "
-            "activeness matches a model-checking oracle",
+            "activeness matches the premise's first-order meaning on the "
+            "canonical frame",
             {"atoms": 3},
             _suite_p2_quasiidentity,
             cost=_tables,

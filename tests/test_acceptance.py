@@ -119,7 +119,8 @@ def test_criterion_10_kn_embeddings():
 def test_criterion_11_passive_rule_quasiidentity():
     _suite_criterion(
         11, "passive-rule quasiidentity: vacuous on 2, refuted on simple "
-        "algebras, activeness matches the model oracle (<=3 atoms)",
+        "algebras, activeness matches the premise's first-order meaning on "
+        "the canonical frame (<=3 atoms)",
         "p2_quasiidentity", atoms=3,
     )
 

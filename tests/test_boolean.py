@@ -1,27 +1,66 @@
 import random
+from itertools import combinations
+from typing import Iterable
 
 import pytest
 from hypothesis import given, strategies as st
 
-from depth2kit.boolean import FiniteBA, atom_indices, powerset_algebra, subset_class
-from depth2kit.errors import DomainError, SizeError
+from depth2kit.boolean import FiniteBA, atom_indices
+from depth2kit.errors import DomainError, Record, SizeError
+
+
+# Reference classifier of subsets: the oracle of the principal
+# ideal/filter tests below and of test_operators' ref_classify_labels.
+
+
+class SubsetClass(Record):
+    """Classification flags for a subset of a finite Boolean algebra."""
+
+    is_ideal: bool
+    is_filter: bool
+    is_bounded_sublattice: bool
+
+
+def ref_subset_class(ba: FiniteBA, members: Iterable[int]) -> SubsetClass:
+    """Classify a subset as ideal / filter / bounded sublattice.
+
+    An ideal is nonempty, downward closed and join closed; a filter is
+    the order dual; a bounded sublattice contains 0 and top and is
+    closed under meet and join.  The empty set gets all flags false.
+    """
+    subset = frozenset(ba.check(x) for x in members)
+    if not subset:
+        return SubsetClass(False, False, False)
+
+    down_closed = all(ba.downset(x) <= subset for x in subset)
+    up_closed = all(ba.upset(x) <= subset for x in subset)
+    join_closed = all(x | y in subset for x, y in combinations(subset, 2))
+    meet_closed = all(x & y in subset for x, y in combinations(subset, 2))
+
+    return SubsetClass(
+        is_ideal=down_closed and join_closed,
+        is_filter=up_closed and meet_closed,
+        is_bounded_sublattice=(
+            0 in subset and ba.top in subset and join_closed and meet_closed
+        ),
+    )
 
 
 def test_powerset_sizes():
-    assert powerset_algebra(1).size == 2
-    assert powerset_algebra(2).size == 4
-    assert powerset_algebra(2).top == 0b11
+    assert FiniteBA(1).size == 2
+    assert FiniteBA(2).size == 4
+    assert FiniteBA(2).top == 0b11
 
 
 def test_powerset_guard():
     with pytest.raises(SizeError):
-        powerset_algebra(21)
+        FiniteBA(21)
     with pytest.raises(SizeError):
-        powerset_algebra(0)
+        FiniteBA(0)
 
 
 def test_primitives():
-    ba = powerset_algebra(2)
+    ba = FiniteBA(2)
     a0, a1 = ba.atoms()
     assert ba.join(a0, a1) == 0b11
     assert ba.complement(a0) == a1
@@ -31,7 +70,7 @@ def test_primitives():
 
 
 def test_element_range_checked():
-    ba = powerset_algebra(2)
+    ba = FiniteBA(2)
     with pytest.raises(DomainError):
         ba.join(4, 0)
 
@@ -55,26 +94,26 @@ def test_de_morgan_exhaustive_small():
 
 
 def test_subset_class_examples():
-    ba = powerset_algebra(2)
+    ba = FiniteBA(2)
     a0, a1 = ba.atoms()
 
-    flags = subset_class(ba, {0, a0})
+    flags = ref_subset_class(ba, {0, a0})
     assert (flags.is_ideal, flags.is_filter, flags.is_bounded_sublattice) == (
         True, False, False)
 
-    flags = subset_class(ba, {a0, ba.top})
+    flags = ref_subset_class(ba, {a0, ba.top})
     assert (flags.is_ideal, flags.is_filter, flags.is_bounded_sublattice) == (
         False, True, False)
 
     # 0, a0, 1: bounded and closed under meet/join but misses a1 below top
-    flags = subset_class(ba, {0, a0, ba.top})
+    flags = ref_subset_class(ba, {0, a0, ba.top})
     assert (flags.is_ideal, flags.is_filter, flags.is_bounded_sublattice) == (
         False, False, True)
 
 
 def test_subset_class_empty():
-    ba = powerset_algebra(2)
-    flags = subset_class(ba, set())
+    ba = FiniteBA(2)
+    flags = ref_subset_class(ba, set())
     assert not (flags.is_ideal or flags.is_filter or flags.is_bounded_sublattice)
 
 
@@ -82,8 +121,8 @@ def test_principal_sets_classify():
     for n in (1, 2, 3):
         ba = FiniteBA(n)
         for a in ba.elements():
-            assert subset_class(ba, ba.downset(a)).is_ideal
-            assert subset_class(ba, ba.upset(a)).is_filter
+            assert ref_subset_class(ba, ba.downset(a)).is_ideal
+            assert ref_subset_class(ba, ba.upset(a)).is_filter
 
 
 def test_every_ideal_is_principal():
@@ -92,7 +131,7 @@ def test_every_ideal_is_principal():
         ba = FiniteBA(n)
         for bits in range(1 << ba.size):
             subset = {x for x in ba.elements() if bits >> x & 1}
-            if not subset_class(ba, subset).is_ideal:
+            if not ref_subset_class(ba, subset).is_ideal:
                 continue
             generator = 0
             for x in subset:

@@ -2,7 +2,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from depth2kit.boolean import FiniteBA, subset_class
+from depth2kit.boolean import FiniteBA
 from depth2kit.duality import canonical_frame
 from depth2kit.errors import (
     DomainError,
@@ -36,6 +36,7 @@ from depth2kit.operators import (
     subalgebras,
     unary_discriminator,
 )
+from test_boolean import ref_subset_class
 
 B1 = FiniteBA(1)
 B2 = FiniteBA(2)
@@ -215,8 +216,9 @@ def test_classifier_matches_constructor():
 
 
 # Reference for classify_algebra's FMA test: the earlier version, which
-# asked subset_class whether the nonzero closed elements form a filter
-# instead of counting the up-set of their meet.
+# asked subset_class (now test_boolean.ref_subset_class) whether the
+# nonzero closed elements form a filter instead of counting the up-set of
+# their meet.
 
 
 def ref_classify_labels(algebra):
@@ -233,7 +235,7 @@ def ref_classify_labels(algebra):
     if closed == ba.downset(generator) | {ba.top}:
         labels.add((AlgebraClass.IMA, generator))
     filter_part = closed - {0}
-    if filter_part != {ba.top} and subset_class(ba, filter_part).is_filter:
+    if filter_part != {ba.top} and ref_subset_class(ba, filter_part).is_filter:
         least = ba.top
         for x in filter_part:
             least &= x

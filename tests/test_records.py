@@ -9,7 +9,7 @@ from dataclasses import make_dataclass
 
 import pytest
 
-from depth2kit.boolean import FiniteBA, SubsetClass
+from depth2kit.boolean import FiniteBA
 from depth2kit.errors import DomainError, Record, SizeError
 from depth2kit.formulas import (
     And, Bottom, Box, Diamond, Formula, Iff, Implies, Not, Or, Rule, Top, Var,
@@ -26,6 +26,7 @@ from depth2kit.operators import (
     OperatorProperties,
     Subalgebra,
 )
+from test_boolean import SubsetClass  # kept as the result class of ref_subset_class
 
 P, Q = Var("p"), Var("q")
 BA = FiniteBA(2)

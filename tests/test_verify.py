@@ -1,15 +1,23 @@
 import json
+import random
+from functools import lru_cache
 
 import pytest
 
+from depth2kit.boolean import FiniteBA
 from depth2kit.cli import main
-from depth2kit import verify
+from depth2kit import semantics, verify
+from depth2kit.duality import canonical_frame
 from depth2kit.errors import BudgetError, DomainError, SizeError
+from depth2kit.formulas import And, Box, Diamond, Not, Or, rule_p2
 from depth2kit.frames import MAX_ENUM_GENERAL, MAX_ENUM_QUASIORDER
-from depth2kit.operators import MAX_EMBED_ATOMS, MAX_SUBALGEBRA_ATOMS
+from depth2kit.operators import (
+    MAX_EMBED_ATOMS, MAX_SUBALGEBRA_ATOMS, ModalAlgebra, ModalOperator,
+)
 from depth2kit.verify import (
     MAX_SUITE_INSTANCES, SUITE_NAMES, SUITES, Suite, run_all, run_suite,
 )
+from test_semantics import ref_eval_in_model
 
 # small bounds keep this module quick; the acceptance tests run the
 # criterion-level defaults
@@ -198,3 +206,59 @@ def test_verify_cli_refuses_costly_bounds(entered, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 2 and all(line.startswith("error:") for line in err)
     assert captured.out == "" and entered == []
+
+
+# p2_quasiidentity checks premises_active against the premise's
+# first-order meaning, which shares no code with the term compiler; so a
+# compiler that builds one connective wrongly must fail activeness checks
+_MISCOMPILED = {
+    "diamond_as_box": lambda node: Box(node.child) if type(node) is Diamond else node,
+    "and_as_or": lambda node: Or(node.left, node.right) if type(node) is And else node,
+    "not_as_identity": lambda node: node.child if type(node) is Not else node,
+}
+
+
+@pytest.fixture
+def fresh_terms():
+    semantics._term.cache_clear()
+    semantics._plan.cache_clear()
+    yield
+    semantics._term.cache_clear()
+    semantics._plan.cache_clear()
+
+
+@pytest.mark.parametrize("swap", _MISCOMPILED.values(), ids=list(_MISCOMPILED))
+def test_p2_activeness_catches_a_miscompiled_connective(fresh_terms, monkeypatch, swap):
+    build = semantics._build
+
+    def miscompiled(node):
+        swapped = swap(node)
+        return build(node) if swapped is node else miscompiled(swapped)
+    # _build builds children through the module global, _term the root
+    monkeypatch.setattr(semantics, "_build", miscompiled)
+    monkeypatch.setattr(semantics, "_term", lru_cache(maxsize=None)(miscompiled))
+    report = run_suite("p2_quasiidentity", atoms=3)
+    assert any(instance.startswith("activeness ")
+               for instance, _, _ in report.failures)
+
+
+def ref_activeness(algebra):
+    """Model-check the premise on the canonical frame under every
+    valuation of p, with test_semantics' evaluator."""
+    frame = canonical_frame(algebra)
+    top = (1 << frame.n_worlds) - 1
+    (premise,) = rule_p2().premises
+    return any(ref_eval_in_model(frame, {"p": mask}, premise) == top
+               for mask in range(top + 1))
+
+
+def test_first_order_oracle_matches_model_checking():
+    algebras = list(verify._algebras_with_all_tables(3, closure_only=False))
+    assert len(algebras) == 530
+    rng = random.Random(13)
+    ba = FiniteBA(4)
+    algebras += [ModalAlgebra(ba, ModalOperator(tuple(rng.randrange(16) for _ in range(4))))
+                 for _ in range(2000)]
+    expected = [ref_activeness(a) for a in algebras]
+    assert [verify._splits_every_row(canonical_frame(a).rows) for a in algebras] == expected
+    assert set(expected[:530]) == set(expected[530:]) == {True, False}
